@@ -1,4 +1,5 @@
-"""Deterministic JSON output with 17-significant-digit floats.
+"""Deterministic JSON output with 17-significant-digit floats, and the one
+reader for files a user names.
 
 The standard encoder's ``repr`` floats are already round-trippable, but
 their width varies; a fixed ``%.17g`` keeps every rerun byte-identical and
@@ -11,9 +12,34 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Mapping, Sequence, Union
 
 import numpy as np
+
+from .errors import DomainError
+
+
+def read_user_file(path: Union[str, Path], what: str) -> str:
+    """Text of a file the user named; any failure to read it is a DomainError."""
+    path = Path(path)
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        raise DomainError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read {what} file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def load_json_file(path: Union[str, Path], what: str):
+    """The JSON document in a file the user named (see :func:`read_user_file`)."""
+    text = read_user_file(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{Path(path)}: not valid JSON ({exc.msg} at line {exc.lineno})") from None
 
 
 def format_float(value: float) -> str:

@@ -8,15 +8,14 @@ what went wrong rather than parsing error prose.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional
 
 import click
 
 from . import __version__, closed_form, statics
-from ._jsonio import dumps, format_float
-from .core import ModelKind, Strategy, load_params
+from ._jsonio import dumps, format_float, load_json_file
+from .core import PARAM_FIELDS, ModelKind, Strategy, load_params
 from .errors import (
     Diverged,
     DomainError,
@@ -62,25 +61,10 @@ def _fail_on_econ_errors(body):
         raise _Failure(str(exc), EXIT_INVALID_INPUT) from None
 
 
-def _load_json_file(path: str, what: str) -> dict:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except FileNotFoundError:
-        raise DomainError(f"{what} file not found: {p}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{p}: not valid JSON ({exc.msg} at line {exc.lineno})") from None
-    if not isinstance(data, dict):
-        raise DomainError(f"{p}: expected a JSON object")
-    return data
-
-
 def _grid_from_option(path: Optional[str]) -> Optional[GridSpec]:
     if path is None:
         return None
-    return GridSpec.from_mapping(_load_json_file(path, "grid"), source=path)
+    return GridSpec.from_mapping(load_json_file(path, "grid"), source=path)
 
 
 def _render_text(doc, indent: int = 0) -> str:
@@ -131,8 +115,10 @@ def _emit(doc, fmt: str, output: Optional[str]) -> None:
         click.echo(rendered, nl=False)
 
 
+_MODEL_CODES = [model.code for model in ModelKind]
+
 _model_option = click.option(
-    "--model", "model_code", type=click.Choice(["m0", "m1", "m2"]), required=True,
+    "--model", "model_code", type=click.Choice(_MODEL_CODES), required=True,
     help="Which interaction model to use.",
 )
 _params_option = click.option(
@@ -168,6 +154,10 @@ def main() -> None:
     """
 
 
+# ClosedFormSolution.to_dict keys as the optimize document names them.
+_OPTIMIZE_KEYS = {"source": "variant", "q": "q_star", "f": "f_star", "a": "a_star"}
+
+
 @main.command()
 @_model_option
 @_params_option
@@ -185,19 +175,10 @@ def optimize(model_code, params_path, gain_target, want_integer, fmt, output):
         entries = []
         for solution in solutions:
             entry = {
-                "variant": solution.source.value,
-                "q_star": solution.strategy.q,
-                "f_star": solution.strategy.f,
-                "a_star": solution.strategy.a,
-                "corner": solution.corner,
+                _OPTIMIZE_KEYS.get(key, key): value
+                for key, value in solution.to_dict().items()
+                if key != "model"
             }
-            if solution.iterations is not None:
-                entry["iterations"] = solution.iterations
-            if solution.corner:
-                if solution.raw_f is not None:
-                    entry["raw_f"] = solution.raw_f
-                if solution.raw_a is not None:
-                    entry["raw_a"] = solution.raw_a
             if want_integer:
                 entry["integer"] = _refine_with_retry(
                     solution, efficiency, costs, gain_target
@@ -269,7 +250,7 @@ def audit(region_path, samples, seed, gain_target, grid_path, output):
         region = None
         if region_path is not None:
             region = ParameterRegion.from_mapping(
-                _load_json_file(region_path, "region"), source=region_path
+                load_json_file(region_path, "region"), source=region_path
             )
         grid = _grid_from_option(grid_path)
         report = audit_claims(
@@ -286,7 +267,7 @@ def audit(region_path, samples, seed, gain_target, grid_path, output):
 @_model_option
 @_params_option
 @click.option("--vary", required=True,
-              type=click.Choice(["alpha", "beta", "gamma1", "gamma2", "c_query", "c_feedback", "c_assess"]),
+              type=click.Choice(PARAM_FIELDS),
               help="Parameter to sweep.")
 @click.option("--lo", type=float, required=True, help="Low end of the sweep.")
 @click.option("--hi", type=float, required=True, help="High end of the sweep.")
@@ -361,7 +342,7 @@ def simulate_cmd(model_code, params_path, q, f, a, sigma, seed, n, output):
 @click.option("--logs", "logs_path", required=True, metavar="FILE", help="JSON Lines session log file.")
 @click.option("--kind", type=click.Choice(["gain", "cost", "both"]), default="both",
               show_default=True, help="Which side to estimate.")
-@click.option("--model", "model_code", type=click.Choice(["m0", "m1", "m2"]), default=None,
+@click.option("--model", "model_code", type=click.Choice(_MODEL_CODES), default=None,
               help="Cross-check that the logs use this model.")
 @_format_option
 @_output_option

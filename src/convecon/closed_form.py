@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .core import CostParams, EfficiencyParams, ModelKind, Strategy, check_gain, gamma_fn
+from .core import (
+    CostParams,
+    EfficiencyParams,
+    ModelKind,
+    Strategy,
+    _model_row,
+    _query_exponent,
+    check_gain,
+)
 from .errors import Diverged, DomainError, NoInteriorOptimum
 
 __all__ = [
@@ -202,17 +210,16 @@ def f2_star_coupled(a: float, efficiency: EfficiencyParams, costs: CostParams) -
 
 
 def recover_q_value(model: ModelKind, g, f, a, efficiency: EfficiencyParams):
-    """Query count pinned by the gain floor; raw arithmetic, array-safe."""
-    if model is ModelKind.BASELINE:
-        return (g / a ** efficiency.beta) ** (1.0 / efficiency.alpha)
-    if model is ModelKind.FEEDBACK_FIRST:
-        exponent = efficiency.gamma1 * f + efficiency.alpha
-        return (g / a ** efficiency.beta) ** (1.0 / exponent)
-    if model is ModelKind.FEEDBACK_AFTER:
-        return (g / ((1.0 + f) ** efficiency.gamma2 * a ** efficiency.beta)) ** (
-            1.0 / efficiency.alpha
-        )
-    raise DomainError(f"unknown model {model!r}")
+    """Query count pinned by the gain floor; raw arithmetic, array-safe.
+
+    ``(g / ((1 + f)**(repeat*gamma2) * a**beta)) ** (1 / (lift*gamma1*f + alpha))``
+    from the model's table row.
+    """
+    row = _model_row(model)
+    scale = a ** efficiency.beta
+    if row.repeat:
+        scale = (1.0 + f) ** efficiency.gamma2 * scale
+    return (g / scale) ** (1.0 / _query_exponent(row, f, efficiency))
 
 
 def recover_q(
@@ -222,14 +229,24 @@ def recover_q(
 
     Inverts the gain expression of ``model`` in its ``q`` argument. ``a``
     must be positive (zero assessments produce zero gain, so no finite query
-    count reaches a positive floor).
+    count reaches a positive floor). A query count too large for a float is
+    reported as :class:`NoInteriorOptimum`.
     """
     g = check_gain(g)
     if a <= 0.0:
         raise DomainError("a must be > 0 to recover a query count")
     if f < 0.0:
         raise DomainError("f must be >= 0")
-    return float(recover_q_value(model, g, f, a, efficiency))
+    try:
+        q = float(recover_q_value(model, g, f, a, efficiency))
+    except OverflowError:
+        q = math.inf
+    if not math.isfinite(q):
+        raise NoInteriorOptimum(
+            f"no finite query count reaches gain {g} at f={f}, a={a} "
+            "(the query count overflows a float)"
+        )
+    return q
 
 
 class SolutionSource(str, Enum):

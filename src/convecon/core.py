@@ -25,6 +25,15 @@ Costs are linear in action counts with per-action prices ``c_query``,
 model onto the baseline, in gain and in cost, which several tests and the
 acceptance suite rely on.
 
+All three are one gain,
+``q**(lift*gamma1*f + alpha) * (1 + f)**(repeat*gamma2) * a**beta``, and
+one cost over the action counts ``(q, q*f, q*(1 + repeat*f)*a)``. A
+private table holds one row per :class:`ModelKind`: ``feedback`` (the
+model has a feedback axis), ``lift`` (1.0 for m1) and ``repeat`` (1.0 for
+m2). Gain, cost, the query count pinned by a gain floor, the oracle's
+gradients and lattice, the session grammar and the fit design rows are all
+derived from the row, so a fourth model is a fourth row.
+
 Counts are modelled as non-negative reals so the optimisation layer can work
 on a continuous relaxation; integer rounding is handled separately by the
 oracle module.
@@ -32,13 +41,13 @@ oracle module.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple, Union
 
+from ._jsonio import load_json_file
 from .errors import DomainError
 
 __all__ = [
@@ -82,7 +91,45 @@ class ModelKind(str, Enum):
 
     @property
     def uses_feedback(self) -> bool:
-        return self is not ModelKind.BASELINE
+        return _MODEL_TABLE[self].feedback
+
+
+class _ModelRow(NamedTuple):
+    """How feedback enters one model; see the module docstring."""
+
+    feedback: bool
+    lift: float
+    repeat: float
+
+
+_MODEL_TABLE = {
+    ModelKind.BASELINE: _ModelRow(feedback=False, lift=0.0, repeat=0.0),
+    ModelKind.FEEDBACK_FIRST: _ModelRow(feedback=True, lift=1.0, repeat=0.0),
+    ModelKind.FEEDBACK_AFTER: _ModelRow(feedback=True, lift=0.0, repeat=1.0),
+}
+
+
+def _model_row(model: ModelKind) -> _ModelRow:
+    if not isinstance(model, ModelKind):
+        raise DomainError(f"unknown model {model!r}")
+    return _MODEL_TABLE[model]
+
+
+# The two helpers below, and recover_q_value, leave a switched-off term out
+# instead of multiplying it by zero. numpy takes x**0.5, x**2 and x**-1
+# through sqrt, square and reciprocal only for a scalar exponent, so an
+# array of alphas would move last bits; and a factor of ones would add
+# lattice-sized temporaries to the oracle.
+
+def _query_exponent(row: _ModelRow, f, efficiency: EfficiencyParams):
+    """``gamma1 * f + alpha`` where feedback lifts it, else plain ``alpha``."""
+    return efficiency.gamma1 * f + efficiency.alpha if row.lift else efficiency.alpha
+
+
+def _assessments(row: _ModelRow, q, f, a):
+    """Assessments in a session: ``q * (1 + f) * a`` where feedback repeats
+    the pass, else ``q * a``; array-safe."""
+    return q * (1.0 + f) * a if row.repeat else q * a
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -112,8 +159,8 @@ class EfficiencyParams:
     gamma2: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma1", "gamma2"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        for field in fields(self):
+            object.__setattr__(self, field.name, _require_finite(field.name, getattr(self, field.name)))
         if not self.alpha > 0.0:
             raise DomainError("alpha must be > 0")
         if self.alpha > 1.0:
@@ -137,11 +184,11 @@ class CostParams:
     c_assess: float
 
     def __post_init__(self) -> None:
-        for name in ("c_query", "c_feedback", "c_assess"):
-            value = _require_finite(name, getattr(self, name))
-            object.__setattr__(self, name, value)
+        for field in fields(self):
+            value = _require_finite(field.name, getattr(self, field.name))
+            object.__setattr__(self, field.name, value)
             if not value > 0.0:
-                raise DomainError(f"{name} must be > 0")
+                raise DomainError(f"{field.name} must be > 0")
 
 
 class ValidatedParams(NamedTuple):
@@ -159,9 +206,7 @@ def validate(efficiency: EfficiencyParams, costs: CostParams) -> ValidatedParams
         raise DomainError("efficiency must be an EfficiencyParams instance")
     if not isinstance(costs, CostParams):
         raise DomainError("costs must be a CostParams instance")
-    efficiency = EfficiencyParams(efficiency.alpha, efficiency.beta, efficiency.gamma1, efficiency.gamma2)
-    costs = CostParams(costs.c_query, costs.c_feedback, costs.c_assess)
-    return ValidatedParams(efficiency, costs)
+    return ValidatedParams(replace(efficiency), replace(costs))
 
 
 class QueryExponent(float):
@@ -212,7 +257,7 @@ class Strategy:
             object.__setattr__(self, name, value)
             if value < 0.0:
                 raise DomainError(f"{name} must be >= 0")
-        if self.model is ModelKind.BASELINE and self.f != 0.0:
+        if not self.model.uses_feedback and self.f != 0.0:
             raise DomainError("baseline strategies must have f = 0")
 
     @property
@@ -231,17 +276,17 @@ class Strategy:
 def gain_value(model: ModelKind, q, f, a, efficiency: EfficiencyParams):
     """Gain for raw counts; works elementwise on numpy arrays too.
 
-    Exponent arithmetic is arranged so that ``f = 0`` gives the exact
-    baseline expression (``gamma1 * 0 + alpha`` is ``alpha``, and
-    ``(1 + 0) ** gamma2`` is exactly 1.0).
+    ``q**(lift*gamma1*f + alpha) * (1 + f)**(repeat*gamma2) * a**beta``,
+    arranged so that ``f = 0`` gives the exact baseline expression
+    (``gamma1 * 0 + alpha`` is ``alpha``, and ``(1 + 0) ** gamma2`` is
+    exactly 1.0).
     """
-    if model is ModelKind.BASELINE:
-        return q ** efficiency.alpha * a ** efficiency.beta
-    if model is ModelKind.FEEDBACK_FIRST:
-        return q ** (efficiency.gamma1 * f + efficiency.alpha) * a ** efficiency.beta
-    if model is ModelKind.FEEDBACK_AFTER:
-        return q ** efficiency.alpha * (1.0 + f) ** efficiency.gamma2 * a ** efficiency.beta
-    raise DomainError(f"unknown model {model!r}")
+    row = _model_row(model)
+    return (
+        q ** _query_exponent(row, f, efficiency)
+        * (1.0 + f) ** (row.repeat * efficiency.gamma2)
+        * a ** efficiency.beta
+    )
 
 
 def cost_value(model: ModelKind, q, f, a, costs: CostParams):
@@ -249,19 +294,14 @@ def cost_value(model: ModelKind, q, f, a, costs: CostParams):
 
     Each term multiplies the integer action count out first and applies the
     unit price last, so integer strategies with representable prices incur
-    no avoidable rounding.
+    no avoidable rounding. A model without feedback expects ``f = 0``.
     """
-    if model is ModelKind.BASELINE:
-        return q * costs.c_query + (q * a) * costs.c_assess
-    if model is ModelKind.FEEDBACK_FIRST:
-        return q * costs.c_query + (q * f) * costs.c_feedback + (q * a) * costs.c_assess
-    if model is ModelKind.FEEDBACK_AFTER:
-        return (
-            q * costs.c_query
-            + (q * f) * costs.c_feedback
-            + (q * (1.0 + f) * a) * costs.c_assess
-        )
-    raise DomainError(f"unknown model {model!r}")
+    row = _model_row(model)
+    return (
+        q * costs.c_query
+        + (q * f) * costs.c_feedback
+        + _assessments(row, q, f, a) * costs.c_assess
+    )
 
 
 def gain(strategy: Strategy, efficiency: EfficiencyParams) -> float:
@@ -282,10 +322,10 @@ def check_gain(g: float) -> float:
     return g
 
 
-PARAM_FIELDS = ("alpha", "beta", "gamma1", "gamma2", "c_query", "c_feedback", "c_assess")
+_EFFICIENCY_FIELDS = tuple(field.name for field in fields(EfficiencyParams))
+_COST_FIELDS = tuple(field.name for field in fields(CostParams))
 
-_EFFICIENCY_FIELDS = PARAM_FIELDS[:4]
-_COST_FIELDS = PARAM_FIELDS[4:]
+PARAM_FIELDS = _EFFICIENCY_FIELDS + _COST_FIELDS
 
 
 def params_from_mapping(data: Mapping[str, object], *, source: str = "params") -> ValidatedParams:
@@ -313,27 +353,13 @@ def params_from_mapping(data: Mapping[str, object], *, source: str = "params") -
 
 def load_params(path: Union[str, Path]) -> ValidatedParams:
     """Load and validate a parameter file (JSON object, seven keys)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise DomainError(f"params file not found: {path}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno})") from None
-    return params_from_mapping(data, source=str(path))
+    return params_from_mapping(load_json_file(path, "params"), source=str(Path(path)))
 
 
 def params_to_mapping(params: ValidatedParams) -> dict:
     """Inverse of :func:`params_from_mapping`, handy for echoing configs."""
-    eff, costs = params
+    efficiency, costs = params
     return {
-        "alpha": eff.alpha,
-        "beta": eff.beta,
-        "gamma1": eff.gamma1,
-        "gamma2": eff.gamma2,
-        "c_query": costs.c_query,
-        "c_feedback": costs.c_feedback,
-        "c_assess": costs.c_assess,
+        **{name: getattr(efficiency, name) for name in _EFFICIENCY_FIELDS},
+        **{name: getattr(costs, name) for name in _COST_FIELDS},
     }

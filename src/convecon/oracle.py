@@ -26,6 +26,8 @@ from .core import (
     EfficiencyParams,
     ModelKind,
     Strategy,
+    _model_row,
+    _query_exponent,
     check_gain,
     cost,
     cost_value,
@@ -219,39 +221,28 @@ def lagrangian(
 
 
 def _gradients(strategy: Strategy, efficiency: EfficiencyParams, costs: CostParams):
-    """Analytic (cost, gain) gradients in (q, f, a) order."""
-    model, q, f, a = strategy.model, strategy.q, strategy.f, strategy.a
+    """Analytic (cost, gain) gradients in (q, f, a) order, from the model's row.
+
+    A model without feedback has no ``f`` component: both ``f`` entries are
+    0.0, so the cost-gradient norm in :func:`kkt_residual` spans (q, a) only.
+    """
+    q, f, a = strategy.q, strategy.f, strategy.a
     if q <= 0.0 or a <= 0.0:
         raise DomainError("gradients require q > 0 and a > 0")
+    row = _model_row(strategy.model)
     value = gain(strategy, efficiency)
-    if model is ModelKind.BASELINE:
-        cost_grad = (costs.c_query + a * costs.c_assess, 0.0, q * costs.c_assess)
-        gain_grad = (efficiency.alpha * value / q, 0.0, efficiency.beta * value / a)
-    elif model is ModelKind.FEEDBACK_FIRST:
-        cost_grad = (
-            costs.c_query + f * costs.c_feedback + a * costs.c_assess,
-            q * costs.c_feedback,
-            q * costs.c_assess,
-        )
-        exponent = efficiency.gamma1 * f + efficiency.alpha
-        gain_grad = (
-            exponent * value / q,
-            efficiency.gamma1 * math.log(q) * value,
-            efficiency.beta * value / a,
-        )
-    elif model is ModelKind.FEEDBACK_AFTER:
-        cost_grad = (
-            costs.c_query + f * costs.c_feedback + (1.0 + f) * a * costs.c_assess,
-            q * costs.c_feedback + q * a * costs.c_assess,
-            q * (1.0 + f) * costs.c_assess,
-        )
-        gain_grad = (
-            efficiency.alpha * value / q,
-            efficiency.gamma2 * value / (1.0 + f),
-            efficiency.beta * value / a,
-        )
-    else:
-        raise DomainError(f"unknown model {model!r}")
+    passes = 1.0 + row.repeat * f
+    cost_grad = (
+        costs.c_query + f * costs.c_feedback + passes * a * costs.c_assess,
+        q * costs.c_feedback + row.repeat * q * a * costs.c_assess if row.feedback else 0.0,
+        q * passes * costs.c_assess,
+    )
+    gain_grad = (
+        _query_exponent(row, f, efficiency) * value / q,
+        row.lift * efficiency.gamma1 * math.log(q) * value
+        + row.repeat * efficiency.gamma2 * value / (1.0 + f),
+        efficiency.beta * value / a,
+    )
     return cost_grad, gain_grad
 
 
@@ -274,9 +265,7 @@ def kkt_residual(
     lam = cost_grad[2] / gain_grad[2]
     norm = math.sqrt(sum(component * component for component in cost_grad))
     residual_q = (cost_grad[0] - lam * gain_grad[0]) / norm
-    residual_f = 0.0
-    if strategy.model is not ModelKind.BASELINE:
-        residual_f = (cost_grad[1] - lam * gain_grad[1]) / norm
+    residual_f = (cost_grad[1] - lam * gain_grad[1]) / norm
     gap = (gain(strategy, efficiency) - g) / g
     return KktReport(
         lam=lam,
@@ -301,7 +290,7 @@ def _shrink(window: tuple[float, float], center: float, spec: GridSpec) -> tuple
     return (10.0 ** max(g_lo, c - half), 10.0 ** min(g_hi, c + half))
 
 
-def _argmin_lex(total: np.ndarray, qv: np.ndarray, fv: np.ndarray, av: np.ndarray) -> int:
+def _argmin_lex(total: np.ndarray, qv: np.ndarray, f_axis: np.ndarray, a_axis: np.ndarray) -> int:
     """Flat index of the least cost; ties go to the smallest (q, f, a)."""
     flat = total.ravel()
     best = flat.min()
@@ -310,32 +299,23 @@ def _argmin_lex(total: np.ndarray, qv: np.ndarray, fv: np.ndarray, av: np.ndarra
     tied = np.flatnonzero(flat == best)
     if tied.size == 1:
         return int(tied[0])
-    qs, fs, avs = qv.ravel()[tied], fv.ravel()[tied], av.ravel()[tied]
-    order = np.lexsort((avs, fs, qs))
+    f_idx, a_idx = np.divmod(tied, a_axis.size)
+    order = np.lexsort((a_axis[a_idx], f_axis[f_idx], qv.ravel()[tied]))
     return int(tied[order[0]])
 
 
 def _evaluate(model, efficiency, costs, g, f_axis, a_axis):
     """Cost surface over the lattice with q eliminated through the floor.
 
-    Returns broadcast (q, f, a, total) arrays; 1-D for the baseline, 2-D
-    (feedback rows, assessment columns) otherwise.
+    Returns (q, total) arrays of feedback rows by assessment columns.
     """
+    fcol = f_axis[:, None]
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        if model is ModelKind.BASELINE:
-            av = a_axis
-            fv = np.zeros_like(av)
-            qv = recover_q_value(model, g, 0.0, av, efficiency)
-            total = cost_value(model, qv, 0.0, av, costs)
-        else:
-            fcol = f_axis[:, None]
-            arow = a_axis[None, :]
-            qv = recover_q_value(model, g, fcol, arow, efficiency)
-            fv = np.broadcast_to(fcol, qv.shape)
-            av = np.broadcast_to(arow, qv.shape)
-            total = cost_value(model, qv, fv, av, costs)
-    total = np.where(np.isfinite(total), total, np.inf)
-    return qv, fv, av, total
+        qv = recover_q_value(model, g, fcol, a_axis, efficiency)
+        # A full-shape view of the assessment axis lets numpy reuse
+        # cost_value's lattice-sized temporaries in place.
+        total = cost_value(model, qv, fcol, np.broadcast_to(a_axis, qv.shape), costs)
+    return qv, np.where(np.isfinite(total), total, np.inf)
 
 
 def minimize_cost(
@@ -382,6 +362,8 @@ def minimize_cost(
 
     a_window = (spec.min, spec.max)
     f_window = (spec.min, spec.max) if uses_f else None
+    # A model without feedback searches the single feedback row f = 0.
+    f_fixed = pin_f if uses_f else 0.0
 
     best_q = best_f = best_a = float("nan")
     f_idx = a_idx = 0
@@ -389,26 +371,21 @@ def minimize_cost(
     f_axis = a_axis = None
     for round_index in range(spec.refinements + 1):
         a_axis = np.array([pin_a]) if pin_a is not None else _log_axis(a_window, spec.points)
-        if uses_f:
-            f_axis = np.array([pin_f]) if pin_f is not None else _log_axis(f_window, spec.points)
-        qv, fv, av, total = _evaluate(model, efficiency, costs, g, f_axis, a_axis)
-        flat_idx = _argmin_lex(total, qv, fv, av)
-        if uses_f:
-            f_idx, a_idx = divmod(flat_idx, a_axis.size)
-        else:
-            f_idx, a_idx = 0, flat_idx
+        f_axis = np.array([f_fixed]) if f_fixed is not None else _log_axis(f_window, spec.points)
+        qv, total = _evaluate(model, efficiency, costs, g, f_axis, a_axis)
+        flat_idx = _argmin_lex(total, qv, f_axis, a_axis)
+        f_idx, a_idx = divmod(flat_idx, a_axis.size)
         best_q = float(qv.ravel()[flat_idx])
-        best_f = float(fv.ravel()[flat_idx])
-        best_a = float(av.ravel()[flat_idx])
+        best_f = float(f_axis[f_idx])
+        best_a = float(a_axis[a_idx])
         if round_index < spec.refinements:
             if pin_a is None:
                 a_window = _shrink(a_window, best_a, spec)
-            if uses_f and pin_f is None:
+            if f_fixed is None:
                 f_window = _shrink(f_window, best_f, spec)
 
     lower_corners = []
-    if uses_f and pin_f is None:
-        # total is 2-D here: feedback rows, assessment columns
+    if f_fixed is None:
         if f_idx == f_axis.size - 1 and f_axis[-1] == spec.max:
             if total[f_idx - 1, a_idx] > total[f_idx, a_idx]:
                 raise Unbounded(
@@ -418,9 +395,7 @@ def minimize_cost(
         if f_idx == 0 and f_axis[0] == spec.min:
             lower_corners.append("f")
     if pin_a is None and a_idx == a_axis.size - 1 and a_axis[-1] == spec.max:
-        neighbor = total[f_idx, a_idx - 1] if uses_f else total[a_idx - 1]
-        incumbent = total[f_idx, a_idx] if uses_f else total[a_idx]
-        if neighbor > incumbent:
+        if total[f_idx, a_idx - 1] > total[f_idx, a_idx]:
             raise Unbounded(
                 "cost still decreasing at the upper grid bound on the assessment axis "
                 f"(a = {spec.max}); the optimum lies outside the search box"
@@ -431,7 +406,7 @@ def minimize_cost(
     pinned = tuple(
         name for name, value in (("f", pin_f), ("a", pin_a)) if value is not None
     )
-    strategy = Strategy(model, q=best_q, f=best_f if uses_f else 0.0, a=best_a)
+    strategy = Strategy(model, q=best_q, f=best_f, a=best_a)
     meta = GridMeta(
         points=spec.points,
         refinements=spec.refinements,
@@ -481,10 +456,8 @@ def integer_refine(
         raise DomainError("solution must carry a Strategy")
     model = base.model
 
-    f_candidates: Sequence[int]
-    if model is ModelKind.BASELINE:
-        f_candidates = (0,)
-    else:
+    f_candidates: Sequence[int] = (0,)
+    if model.uses_feedback:
         f_candidates = _integer_candidates(base.f, radius, floor=0)
     a_candidates = _integer_candidates(base.a, radius, floor=1)
     q_candidates = list(_integer_candidates(base.q, radius, floor=1))

@@ -20,11 +20,15 @@ from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from ._jsonio import read_user_file
 from .core import (
     CostParams,
     EfficiencyParams,
     ModelKind,
     Strategy,
+    _assessments,
+    _model_row,
+    _ModelRow,
     check_gain,
     cost,
     gain,
@@ -132,33 +136,23 @@ class SessionLog:
 def _unrolled_actions(strategy: Strategy, costs: CostParams) -> tuple[SessionAction, ...]:
     """Expand integer counts into the model's action grammar.
 
-    Baseline: per query, the query then ``a`` assessments. Feedback-first:
-    the feedback rounds come between the query and its assessments.
-    Feedback-after: assessments happen once after the query and again after
-    every feedback round.
+    Every query starts a block: the query, the feedback rounds that come
+    before results, one assessment pass, and then, where feedback repeats
+    the pass, each remaining feedback round followed by another pass.
     """
     q, f, a = int(strategy.q), int(strategy.f), int(strategy.a)
+    after = int(_model_row(strategy.model).repeat * f)
     prices = {
         ActionKind.QUERY: costs.c_query,
         ActionKind.FEEDBACK: costs.c_feedback,
         ActionKind.ASSESS: costs.c_assess,
     }
-    kinds: list[ActionKind] = []
-    for _ in range(q):
-        kinds.append(ActionKind.QUERY)
-        if strategy.model is ModelKind.FEEDBACK_FIRST:
-            kinds.extend([ActionKind.FEEDBACK] * f)
-            kinds.extend([ActionKind.ASSESS] * a)
-        elif strategy.model is ModelKind.FEEDBACK_AFTER:
-            kinds.extend([ActionKind.ASSESS] * a)
-            for _ in range(f):
-                kinds.append(ActionKind.FEEDBACK)
-                kinds.extend([ActionKind.ASSESS] * a)
-        else:
-            kinds.extend([ActionKind.ASSESS] * a)
+    assess = [ActionKind.ASSESS] * a
+    block = [ActionKind.QUERY] + [ActionKind.FEEDBACK] * (f - after) + assess
+    block += ([ActionKind.FEEDBACK] + assess) * after
     return tuple(
         SessionAction(step=i, kind=kind, unit_cost=prices[kind])
-        for i, kind in enumerate(kinds)
+        for i, kind in enumerate(block * q)
     )
 
 
@@ -268,6 +262,11 @@ def _design_points(logs: Sequence[SessionLog]) -> set[tuple[float, float, float]
     return {(log.strategy.q, log.strategy.f, log.strategy.a) for log in logs}
 
 
+def _design_row(row: _ModelRow, first: float, feedback: float, last: float) -> list[float]:
+    """One session's regressors; the feedback column only where the model has one."""
+    return [first, feedback, last] if row.feedback else [first, last]
+
+
 def _lstsq(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float, bool]:
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=1e-8)
     fitted = design @ coef
@@ -293,6 +292,7 @@ def fit_gain_params(
         if wanted is not shared:
             raise DomainError(f"logs are {shared.code}, not {wanted.code}")
 
+    row = _model_row(shared)
     rows = []
     target = []
     for log in logs:
@@ -302,12 +302,8 @@ def fit_gain_params(
         if s.q <= 0.0 or s.a <= 0.0:
             raise DomainError("strategies must have positive q and a to fit in log space")
         lq, la = math.log(s.q), math.log(s.a)
-        if shared is ModelKind.BASELINE:
-            rows.append([lq, la])
-        elif shared is ModelKind.FEEDBACK_FIRST:
-            rows.append([lq, s.f * lq, la])
-        else:
-            rows.append([lq, math.log1p(s.f), la])
+        feedback = row.lift * s.f * lq + row.repeat * math.log1p(s.f)
+        rows.append(_design_row(row, lq, feedback, la))
         target.append(math.log(log.realized_gain))
 
     k = len(rows[0])
@@ -319,17 +315,13 @@ def fit_gain_params(
 
     coef, rms, deficient = _lstsq(np.asarray(rows), np.asarray(target))
     note = None
-    if deficient and shared is ModelKind.FEEDBACK_FIRST and len({log.strategy.f for log in logs}) == 1:
+    if deficient and row.lift and len({log.strategy.f for log in logs}) == 1:
         note = "alpha and gamma1 are unidentifiable: feedback level is constant across sessions"
 
-    if shared is ModelKind.BASELINE:
-        alpha_hat, beta_hat, gamma_hat = float(coef[0]), float(coef[1]), None
-    else:
-        alpha_hat, gamma_hat, beta_hat = float(coef[0]), float(coef[1]), float(coef[2])
     return EstimationResult(
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
-        gamma_hat=gamma_hat,
+        alpha_hat=float(coef[0]),
+        beta_hat=float(coef[-1]),
+        gamma_hat=float(coef[1]) if row.feedback else None,
         residual_rms=rms,
         n_sessions=len(logs),
         condition_warning=deficient,
@@ -345,17 +337,12 @@ def fit_cost_params(logs: Sequence[SessionLog]) -> EstimationResult:
     estimates are reported as-is with ``condition_warning`` — a wrong sign
     is evidence of misspecification, and hiding it would defeat the fit.
     """
-    shared = _shared_model(logs)
+    row = _model_row(_shared_model(logs))
     rows = []
     target = []
     for log in logs:
         s = log.strategy
-        if shared is ModelKind.BASELINE:
-            rows.append([s.q, s.q * s.a])
-        elif shared is ModelKind.FEEDBACK_FIRST:
-            rows.append([s.q, s.q * s.f, s.q * s.a])
-        else:
-            rows.append([s.q, s.q * s.f, s.q * (1.0 + s.f) * s.a])
+        rows.append(_design_row(row, s.q, s.q * s.f, _assessments(row, s.q, s.f, s.a)))
         target.append(log.realized_cost)
 
     k = len(rows[0])
@@ -367,17 +354,15 @@ def fit_cost_params(logs: Sequence[SessionLog]) -> EstimationResult:
 
     coef, rms, deficient = _lstsq(np.asarray(rows), np.asarray(target))
     note = None
-    if deficient and shared is not ModelKind.BASELINE:
+    if deficient and row.feedback:
         levels = {log.strategy.f for log in logs}
         if levels == {0.0}:
             note = "c_feedback is unidentifiable: no feedback actions in the logs"
         elif len(levels) == 1:
             note = "c_query and c_feedback are unidentifiable: feedback level is constant across sessions"
 
-    if shared is ModelKind.BASELINE:
-        cq_hat, cf_hat, ca_hat = float(coef[0]), None, float(coef[1])
-    else:
-        cq_hat, cf_hat, ca_hat = float(coef[0]), float(coef[1]), float(coef[2])
+    cq_hat, ca_hat = float(coef[0]), float(coef[-1])
+    cf_hat = float(coef[1]) if row.feedback else None
     negative = any(v is not None and v < 0.0 for v in (cq_hat, cf_hat, ca_hat))
     return EstimationResult(
         cq_hat=cq_hat,
@@ -407,12 +392,8 @@ def read_jsonl(source: Union[str, Path, IO[str]]) -> list[SessionLog]:
         text = source.read()
         name = getattr(source, "name", "session log")
     else:
-        path = Path(source)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            raise DomainError(f"session log file not found: {path}") from None
-        name = str(path)
+        text = read_user_file(source, "session log")
+        name = str(Path(source))
     logs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -425,7 +406,7 @@ def read_jsonl(source: Union[str, Path, IO[str]]) -> list[SessionLog]:
     return logs
 
 
-_FEEDBACK_MODELS = (ModelKind.FEEDBACK_FIRST, ModelKind.FEEDBACK_AFTER)
+_FEEDBACK_MODELS = tuple(model for model in ModelKind if model.uses_feedback)
 
 
 @dataclass(frozen=True)
@@ -454,7 +435,7 @@ class Recommendation:
     def to_dict(self) -> dict:
         return {
             "cheapest": self.cheapest.code,
-            "costs": {code: self.cost_of(code) for code in ("m0", "m1", "m2")},
+            "costs": {model.code: self.cost_of(model) for model in ModelKind},
             "worthwhile": dict(self.worthwhile),
             "not_comparable": list(self.not_comparable),
             "strategies": {

@@ -22,14 +22,22 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import closed_form as cf
-from .core import CostParams, EfficiencyParams, ModelKind, check_gain
+from .core import (
+    PARAM_FIELDS,
+    CostParams,
+    EfficiencyParams,
+    ModelKind,
+    check_gain,
+    params_from_mapping,
+    params_to_mapping,
+)
 from .errors import Diverged, DomainError, EconError, Infeasible, NoInteriorOptimum, Unbounded
 from .oracle import GridSpec, minimize_cost
 
@@ -56,7 +64,7 @@ __all__ = [
 # 5%-agreement work.
 DEFAULT_AUDIT_GRID = GridSpec(points=64, refinements=2)
 
-AXIS_ORDER = ("alpha", "beta", "gamma1", "gamma2", "c_query", "c_feedback", "c_assess", "f", "a")
+AXIS_ORDER = PARAM_FIELDS + ("f", "a")
 
 SIGN_POSITIVE = "+"
 SIGN_NEGATIVE = "-"
@@ -238,41 +246,31 @@ class SamplePoint:
     def value_of(self, name: str) -> float:
         if name in ("f", "a"):
             return getattr(self, name)
-        if hasattr(self.efficiency, name):
-            return getattr(self.efficiency, name)
-        if hasattr(self.costs, name):
-            return getattr(self.costs, name)
-        raise DomainError(f"unknown parameter {name!r}")
+        return getattr(getattr(self, _holder_of(name)), name)
 
     def with_param(self, name: str, value: float) -> "SamplePoint":
-        if name == "f":
-            return SamplePoint(self.efficiency, self.costs, float(value), self.a)
-        if name == "a":
-            return SamplePoint(self.efficiency, self.costs, self.f, float(value))
-        eff_fields = {"alpha": self.efficiency.alpha, "beta": self.efficiency.beta,
-                      "gamma1": self.efficiency.gamma1, "gamma2": self.efficiency.gamma2}
-        cost_fields = {"c_query": self.costs.c_query, "c_feedback": self.costs.c_feedback,
-                       "c_assess": self.costs.c_assess}
-        if name in eff_fields:
-            eff_fields[name] = float(value)
-            return SamplePoint(EfficiencyParams(**eff_fields), self.costs, self.f, self.a)
-        if name in cost_fields:
-            cost_fields[name] = float(value)
-            return SamplePoint(self.efficiency, CostParams(**cost_fields), self.f, self.a)
-        raise DomainError(f"unknown parameter {name!r}")
+        if name in ("f", "a"):
+            return replace(self, **{name: float(value)})
+        holder = _holder_of(name)
+        return replace(self, **{holder: replace(getattr(self, holder), **{name: float(value)})})
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.efficiency.alpha,
-            "beta": self.efficiency.beta,
-            "gamma1": self.efficiency.gamma1,
-            "gamma2": self.efficiency.gamma2,
-            "c_query": self.costs.c_query,
-            "c_feedback": self.costs.c_feedback,
-            "c_assess": self.costs.c_assess,
-            "f": self.f,
-            "a": self.a,
-        }
+        """Every axis, in ``AXIS_ORDER``."""
+        return {**params_to_mapping((self.efficiency, self.costs)), "f": self.f, "a": self.a}
+
+
+# The SamplePoint field holding each model parameter.
+_HOLDER = {
+    **{field.name: "efficiency" for field in fields(EfficiencyParams)},
+    **{field.name: "costs" for field in fields(CostParams)},
+}
+
+
+def _holder_of(name: str) -> str:
+    try:
+        return _HOLDER[name]
+    except KeyError:
+        raise DomainError(f"unknown parameter {name!r}") from None
 
 
 def _sign_of(derivative: float) -> str:
@@ -293,11 +291,7 @@ def finite_diff_sign(
     "+", "-", or "0" when the magnitude falls below the flat threshold of
     1e-9. Domain errors from the perturbed evaluations propagate.
     """
-    base = at.value_of(parameter)
-    hi = float(evaluator(at.with_param(parameter, base * (1.0 + h))))
-    lo = float(evaluator(at.with_param(parameter, base * (1.0 - h))))
-    derivative = (hi - lo) / (2.0 * h * base)
-    return _sign_of(derivative)
+    return _diff_once(lambda point: (float(evaluator(point)), False), parameter, at, h)[0]
 
 
 # Formula-side evaluators return (value, clamped) so the audit can censor
@@ -347,19 +341,6 @@ def _oracle_component(claim: Claim, point: SamplePoint, g: float, grid: GridSpec
         component = solution.strategy.f
     at_corner = component <= grid.min * (1.0 + 1e-9)
     return component, at_corner
-
-
-@dataclass(frozen=True)
-class _SideTally:
-    """Accumulated counts for one evaluation route of one claim."""
-
-    holds: int = 0
-    flats: int = 0
-    skipped: int = 0
-    evaluated: int = 0
-
-    def fraction(self) -> Optional[float]:
-        return self.holds / self.evaluated if self.evaluated else None
 
 
 def _diff_once(
@@ -541,17 +522,13 @@ class ClaimAuditReport:
 
 
 def _draw_point(rng: np.random.Generator, region: ParameterRegion) -> SamplePoint:
-    values = {}
-    for name, lo, hi in region.bounds:
-        values[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-    efficiency = EfficiencyParams(
-        alpha=values["alpha"], beta=values["beta"],
-        gamma1=values["gamma1"], gamma2=values["gamma2"],
-    )
-    costs = CostParams(
-        c_query=values["c_query"], c_feedback=values["c_feedback"], c_assess=values["c_assess"],
-    )
-    return SamplePoint(efficiency, costs, f=values["f"], a=values["a"])
+    values = {
+        name: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        for name, lo, hi in region.bounds
+    }
+    f, a = values.pop("f"), values.pop("a")
+    efficiency, costs = params_from_mapping(values, source="region sample")
+    return SamplePoint(efficiency, costs, f=f, a=a)
 
 
 class _AgreementTally:
@@ -830,8 +807,6 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
-_SWEEPABLE = ("alpha", "beta", "gamma1", "gamma2", "c_query", "c_feedback", "c_assess")
-
 _DEFAULT_TARGETS = {
     ModelKind.BASELINE: ("a0_star",),
     ModelKind.FEEDBACK_FIRST: ("m1_f_star", "m1_a_star"),
@@ -885,8 +860,8 @@ def sweep(
     """
     if not isinstance(model, ModelKind):
         model = ModelKind.from_code(model)
-    if vary not in _SWEEPABLE:
-        raise DomainError(f"vary must be one of {', '.join(_SWEEPABLE)}")
+    if vary not in PARAM_FIELDS:
+        raise DomainError(f"vary must be one of {', '.join(PARAM_FIELDS)}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError("sweep requires finite lo < hi")
     if isinstance(steps, bool) or int(steps) != steps or steps < 2:

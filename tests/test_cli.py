@@ -86,6 +86,32 @@ class TestOptimize:
         result = _run(runner, ["optimize", "--model", "m0", "--params", equal, "--gain", "100"])
         assert result.exit_code == 3
 
+    def test_corner_entry_keys_in_order(self, runner, params_file):
+        # gamma2 < beta: f2_star's raw value is negative and clamps to zero,
+        # and the full-depth variant has no interior optimum at f = 0.
+        corner = params_file("corner.json", gamma2=0.1)
+        result = _run(runner, [
+            "optimize", "--model", "m2", "--params", corner, "--gain", "100", "--integer",
+        ])
+        assert result.exit_code == 0
+        partial, coupled = json.loads(result.output)["solutions"]
+        assert list(partial) == ["variant", "q_star", "f_star", "a_star", "corner", "raw_f", "integer"]
+        assert partial["variant"] == "m2-partial"
+        assert partial["corner"] is True
+        assert partial["raw_f"] == pytest.approx(-2.0, rel=1e-12)
+        assert list(coupled) == [
+            "variant", "q_star", "f_star", "a_star", "corner", "iterations", "integer",
+        ]
+
+    def test_overflowing_query_count_exits_three(self, runner, params_file):
+        tiny = params_file(
+            "tiny.json", alpha=0.0068, beta=0.003, gamma1=0.1, gamma2=0.5,
+            c_query=1, c_feedback=1, c_assess=1,
+        )
+        result = _run(runner, ["optimize", "--model", "m0", "--params", tiny, "--gain", "3.2e10"])
+        assert result.exit_code == 3
+        assert "overflows" in result.stderr
+
     def test_text_format_carries_identical_numbers(self, runner, params_file):
         path = params_file()
         as_json = _run(runner, ["optimize", "--model", "m0", "--params", path, "--gain", "100"])
@@ -350,6 +376,29 @@ class TestViability:
         doc = json.loads(result.output)
         assert doc["not_comparable"] == ["m2"]
         assert doc["costs"]["m2"] is None
+
+
+# ---------------------------------------------------------------------------
+# files the user names
+
+
+@pytest.mark.parametrize("option", ["--params", "--grid", "--region", "--logs"])
+@pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+def test_unreadable_file_is_invalid_input(runner, params_file, tmp_path, option, unreadable):
+    bad = tmp_path / "bad"
+    if unreadable == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe{")
+    args = {
+        "--params": ["viability", "--params", bad, "--gain", "100"],
+        "--grid": ["oracle", "--model", "m0", "--params", params_file(), "--gain", "100", "--grid", bad],
+        "--region": ["audit", "--region", bad, "--output", tmp_path / "audit.json"],
+        "--logs": ["fit", "--logs", bad],
+    }[option]
+    result = _run(runner, args)
+    assert result.exit_code == 2
+    assert f"file {bad}" in result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ from convecon import (
     solve_model0,
 )
 from convecon.closed_form import recover_q_value
-from convecon.core import cost_value
+from convecon.core import cost_value, gain_value
+from convecon.oracle import _gradients
 
 M0 = ModelKind.BASELINE
 M1 = ModelKind.FEEDBACK_FIRST
@@ -484,3 +485,27 @@ def test_finer_grid_cannot_improve_optimum(model):
             # alpha > beta throughout the sampled region, so the closed form
             # applies and must agree with the search.
             assert sol.strategy.a == pytest.approx(a0_star(efficiency, costs), rel=1e-3)
+
+
+@pytest.mark.parametrize("model", [M0, M1, M2])
+def test_gradients_match_central_differences(model):
+    rng = np.random.default_rng(20261018)
+    for _ in range(20):
+        efficiency, costs, _g = _sample_instance(rng)
+        q, f, a = (float(v) for v in np.exp(rng.uniform(1.0, 4.0, size=3)))
+        counts = [q, f if model.uses_feedback else 0.0, a]
+        cost_grad, gain_grad = _gradients(Strategy(model, *counts), efficiency, costs)
+        for axis in range(3):
+            if axis == 1 and not model.uses_feedback:
+                assert cost_grad[1] == gain_grad[1] == 0.0
+                continue
+            h = 1e-5 * counts[axis]
+            up, down = list(counts), list(counts)
+            up[axis] += h
+            down[axis] -= h
+            numeric_cost = (cost_value(model, *up, costs) - cost_value(model, *down, costs)) / (2 * h)
+            numeric_gain = (
+                gain_value(model, *up, efficiency) - gain_value(model, *down, efficiency)
+            ) / (2 * h)
+            assert cost_grad[axis] == pytest.approx(numeric_cost, rel=1e-6)
+            assert gain_grad[axis] == pytest.approx(numeric_gain, rel=1e-6)
