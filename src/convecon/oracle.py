@@ -33,7 +33,7 @@ from .core import (
     cost_value,
     gain,
 )
-from .errors import DomainError, Infeasible, Unbounded
+from .errors import DomainError, Infeasible, NoInteriorOptimum, Unbounded
 
 __all__ = [
     "GridSpec",
@@ -295,7 +295,8 @@ def _argmin_lex(total: np.ndarray, qv: np.ndarray, f_axis: np.ndarray, a_axis: n
     flat = total.ravel()
     best = flat.min()
     if not math.isfinite(best):
-        raise DomainError("grid evaluation produced no finite cost")
+        # A valid input whose gain target no finite query count reaches.
+        raise NoInteriorOptimum("grid evaluation produced no finite cost")
     tied = np.flatnonzero(flat == best)
     if tied.size == 1:
         return int(tied[0])

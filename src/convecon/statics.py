@@ -16,6 +16,14 @@ The audit also scores how well each formula route tracks the oracle numerically
 (the agreement section); AGREES/DISAGREES verdicts there are findings about
 the formulas, not test failures. Claims marked ``informational`` come from a
 disputed source and are never treated as normative.
+
+Each printed formula is a :class:`FormulaVariant`, and one private table row
+per variant says what it is: its model, the optimum it gives (``a*`` or
+``f*``) and the coordinate it takes as input (none, ``f`` or ``a``). The
+formula route calls the ``closed_form`` function the variant is named after,
+the oracle route pins the coordinate the formula is given, the agreement
+rows and their names, and each claim's model and quantity, all follow from
+that row.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ import math
 import statistics
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -124,36 +133,69 @@ class Claim:
         }
 
 
+class _VariantRow(NamedTuple):
+    """What one formula variant is: its model, the optimum it gives, and the
+    coordinate it takes as input (None, "f" or "a")."""
+
+    model: ModelKind
+    quantity: Quantity
+    given: Optional[str]
+
+
 _M0, _M1, _M2 = ModelKind.BASELINE, ModelKind.FEEDBACK_FIRST, ModelKind.FEEDBACK_AFTER
 _A, _F = Quantity.A_STAR, Quantity.F_STAR
 _V = FormulaVariant
 
+# One row per variant. The formula is the closed_form function named by the
+# variant's value, looked up at call time (never stored here) so that a
+# rebinding of the module attribute is seen. The oracle route pins the same
+# coordinate the formula is given.
+_VARIANTS = {
+    _V.A0: _VariantRow(_M0, _A, None),
+    _V.A1: _VariantRow(_M1, _A, "f"),
+    _V.F1: _VariantRow(_M1, _F, "a"),
+    _V.A2_PARTIAL: _VariantRow(_M2, _A, "f"),
+    _V.A2_FULL: _VariantRow(_M2, _A, "f"),
+    _V.F2: _VariantRow(_M2, _F, None),
+    _V.F2_COUPLED: _VariantRow(_M2, _F, "a"),
+}
+
+# The strategy coordinate each quantity reads.
+_AXIS = {_A: "a", _F: "f"}
+
+
+def _claim(claim_id: str, variant: FormulaVariant, *rest: str, informational: bool = False) -> Claim:
+    """A registry row; its model and quantity come from the variant's row."""
+    row = _VARIANTS[variant]
+    return Claim(claim_id, row.model, row.quantity, variant, *rest, informational=informational)
+
+
 _REGISTRY: tuple[Claim, ...] = (
-    Claim("M0-1", _M0, _A, _V.A0, "c_query", "+", "costlier queries push baseline assessment depth up"),
-    Claim("M0-2", _M0, _A, _V.A0, "c_assess", "-", "costlier assessment pushes baseline assessment depth down"),
-    Claim("M0-3", _M0, _A, _V.A0, "alpha", "-", "a stronger query exponent lowers baseline assessment depth"),
-    Claim("M0-4", _M0, _A, _V.A0, "beta", "+", "a stronger assessment exponent raises baseline assessment depth"),
-    Claim("M1-1", _M1, _A, _V.A1, "c_query", "+", "costlier queries deepen assessment at a fixed feedback level"),
-    Claim("M1-2", _M1, _A, _V.A1, "c_assess", "-", "costlier assessment shallows assessment at a fixed feedback level"),
-    Claim("M1-3", _M1, _A, _V.A1, "c_feedback", "+", "costlier feedback deepens assessment when feedback is given"),
-    Claim("M1-4", _M1, _A, _V.A1, "f", "-", "more feedback per query shallows assessment"),
-    Claim("M1-5", _M1, _F, _V.F1, "c_query", "+", "costlier queries call for more feedback at a fixed depth"),
-    Claim("M1-6", _M1, _F, _V.F1, "c_assess", "+", "costlier assessment calls for more feedback at a fixed depth"),
-    Claim("M1-7", _M1, _F, _V.F1, "c_feedback", "-", "costlier feedback calls for less feedback at a fixed depth"),
-    Claim("M1-8", _M1, _F, _V.F1, "gamma1", "-", "more effective feedback needs fewer rounds of it"),
-    Claim("M1-9", _M1, _F, _V.F1, "beta", "+",
-          "feedback rises as the assessment exponent approaches the query exponent", informational=True),
-    Claim("M2-1", _M2, _A, _V.A2_PARTIAL, "c_feedback", "+", "costlier feedback deepens per-pass assessment when feedback is given"),
-    Claim("M2-2", _M2, _A, _V.A2_PARTIAL, "c_assess", "-", "costlier assessment shallows per-pass assessment"),
-    Claim("M2-3", _M2, _A, _V.A2_PARTIAL, "beta", "+", "a stronger assessment exponent deepens per-pass assessment"),
-    Claim("M2-4", _M2, _F, _V.F2, "c_query", "+", "costlier queries motivate more post-results feedback"),
-    Claim("M2-5", _M2, _F, _V.F2, "c_feedback", "-", "costlier feedback warrants less post-results feedback"),
-    Claim("M2-6", _M2, _F, _V.F2, "gamma2", "+", "more effective feedback invites more of it"),
-    Claim("M2-7", _M2, _F, _V.F2, "alpha", "-", "a stronger query exponent shifts effort from feedback to querying"),
-    Claim("M2-8", _M2, _A, _V.A2_FULL, "gamma2", "-",
-          "more effective feedback shallows per-pass assessment (full-depth variant)", informational=True),
-    Claim("M2-9", _M2, _F, _V.F2_COUPLED, "beta", "-",
-          "feedback fades as the assessment exponent overtakes querying (depth-coupled variant)", informational=True),
+    _claim("M0-1", _V.A0, "c_query", "+", "costlier queries push baseline assessment depth up"),
+    _claim("M0-2", _V.A0, "c_assess", "-", "costlier assessment pushes baseline assessment depth down"),
+    _claim("M0-3", _V.A0, "alpha", "-", "a stronger query exponent lowers baseline assessment depth"),
+    _claim("M0-4", _V.A0, "beta", "+", "a stronger assessment exponent raises baseline assessment depth"),
+    _claim("M1-1", _V.A1, "c_query", "+", "costlier queries deepen assessment at a fixed feedback level"),
+    _claim("M1-2", _V.A1, "c_assess", "-", "costlier assessment shallows assessment at a fixed feedback level"),
+    _claim("M1-3", _V.A1, "c_feedback", "+", "costlier feedback deepens assessment when feedback is given"),
+    _claim("M1-4", _V.A1, "f", "-", "more feedback per query shallows assessment"),
+    _claim("M1-5", _V.F1, "c_query", "+", "costlier queries call for more feedback at a fixed depth"),
+    _claim("M1-6", _V.F1, "c_assess", "+", "costlier assessment calls for more feedback at a fixed depth"),
+    _claim("M1-7", _V.F1, "c_feedback", "-", "costlier feedback calls for less feedback at a fixed depth"),
+    _claim("M1-8", _V.F1, "gamma1", "-", "more effective feedback needs fewer rounds of it"),
+    _claim("M1-9", _V.F1, "beta", "+",
+           "feedback rises as the assessment exponent approaches the query exponent", informational=True),
+    _claim("M2-1", _V.A2_PARTIAL, "c_feedback", "+", "costlier feedback deepens per-pass assessment when feedback is given"),
+    _claim("M2-2", _V.A2_PARTIAL, "c_assess", "-", "costlier assessment shallows per-pass assessment"),
+    _claim("M2-3", _V.A2_PARTIAL, "beta", "+", "a stronger assessment exponent deepens per-pass assessment"),
+    _claim("M2-4", _V.F2, "c_query", "+", "costlier queries motivate more post-results feedback"),
+    _claim("M2-5", _V.F2, "c_feedback", "-", "costlier feedback warrants less post-results feedback"),
+    _claim("M2-6", _V.F2, "gamma2", "+", "more effective feedback invites more of it"),
+    _claim("M2-7", _V.F2, "alpha", "-", "a stronger query exponent shifts effort from feedback to querying"),
+    _claim("M2-8", _V.A2_FULL, "gamma2", "-",
+           "more effective feedback shallows per-pass assessment (full-depth variant)", informational=True),
+    _claim("M2-9", _V.F2_COUPLED, "beta", "-",
+           "feedback fades as the assessment exponent overtakes querying (depth-coupled variant)", informational=True),
 )
 
 
@@ -289,56 +331,39 @@ def finite_diff_sign(
 
     The step is relative (the parameter is scaled by ``1 +/- h``). Returns
     "+", "-", or "0" when the magnitude falls below the flat threshold of
-    1e-9. Domain errors from the perturbed evaluations propagate.
+    1e-9. A parameter at 0 has no relative step and raises
+    :class:`DomainError`; domain errors from the perturbed evaluations
+    propagate.
     """
     return _diff_once(lambda point: (float(evaluator(point)), False), parameter, at, h)[0]
 
 
-# Formula-side evaluators return (value, clamped) so the audit can censor
-# corner samples; variants without clamping report clamped=False always.
-
 def _formula_value(variant: FormulaVariant, point: SamplePoint) -> tuple[float, bool]:
-    eff, costs = point.efficiency, point.costs
-    if variant is FormulaVariant.A0:
-        return cf.a0_star(eff, costs), False
-    if variant is FormulaVariant.A1:
-        return cf.a1_star(point.f, eff, costs), False
-    if variant is FormulaVariant.F1:
-        value = cf.f1_star(point.a, eff, costs)
+    """(value, clamped) of the variant's printed formula at ``point``.
+
+    The formula is given ``point``'s coordinate named by the variant's row;
+    formulas without clamping always report clamped=False, so the audit can
+    censor corner samples.
+    """
+    given = _VARIANTS[variant].given
+    args = () if given is None else (getattr(point, given),)
+    value = getattr(cf, variant.value)(*args, point.efficiency, point.costs)
+    if isinstance(value, cf.ClampedValue):
         return value.value, value.corner
-    if variant is FormulaVariant.A2_PARTIAL:
-        return cf.a2_star_partial(point.f, eff, costs), False
-    if variant is FormulaVariant.A2_FULL:
-        value = cf.a2_star_full(point.f, eff, costs)
-        return value.value, value.corner
-    if variant is FormulaVariant.F2:
-        value = cf.f2_star(eff, costs)
-        return value.value, value.corner
-    if variant is FormulaVariant.F2_COUPLED:
-        value = cf.f2_star_coupled(point.a, eff, costs)
-        return value.value, value.corner
-    raise DomainError(f"unknown formula variant {variant!r}")
+    return value, False
 
 
-# Oracle-side conditioning per formula variant: depth formulas are answered
-# by a depth-only search at the point's feedback level, fixed-depth feedback
-# formulas by a feedback-only search at the point's depth, and the
-# unconditioned feedback formula by the joint search.
-_PIN_F_VARIANTS = frozenset({FormulaVariant.A1, FormulaVariant.A2_PARTIAL, FormulaVariant.A2_FULL})
-_PIN_A_VARIANTS = frozenset({FormulaVariant.F1, FormulaVariant.F2_COUPLED})
-
-
-def _oracle_component(claim: Claim, point: SamplePoint, g: float, grid: GridSpec) -> tuple[float, bool]:
-    kwargs = {}
-    if claim.formula_variant in _PIN_F_VARIANTS:
-        kwargs["pin_f"] = point.f
-    elif claim.formula_variant in _PIN_A_VARIANTS:
-        kwargs["pin_a"] = point.a
-    solution = minimize_cost(claim.model, point.efficiency, point.costs, g, grid, **kwargs)
-    if claim.quantity is Quantity.A_STAR:
-        component = solution.strategy.a
-    else:
-        component = solution.strategy.f
+def _oracle_component(
+    variant: FormulaVariant, point: SamplePoint, g: float, grid: GridSpec,
+) -> tuple[float, bool]:
+    """(component, at_corner) of the oracle conditioned as the formula is:
+    the coordinate the formula is given is pinned at ``point``'s value, so
+    depth formulas get a depth-only search, fixed-depth feedback formulas a
+    feedback-only search, and unconditioned formulas the joint search."""
+    model, quantity, given = _VARIANTS[variant]
+    pins = {} if given is None else {f"pin_{given}": getattr(point, given)}
+    solution = minimize_cost(model, point.efficiency, point.costs, g, grid, **pins)
+    component = getattr(solution.strategy, _AXIS[quantity])
     at_corner = component <= grid.min * (1.0 + 1e-9)
     return component, at_corner
 
@@ -351,6 +376,8 @@ def _diff_once(
 ) -> tuple[str, bool]:
     """(sign, censored) of one central difference on a (value, clamped) evaluator."""
     base = point.value_of(parameter)
+    if base == 0.0:
+        raise DomainError(f"{parameter} is 0; a relative step needs a non-zero value")
     hi_value, hi_clamped = value_fn(point.with_param(parameter, base * (1.0 + h)))
     lo_value, lo_clamped = value_fn(point.with_param(parameter, base * (1.0 - h)))
     if hi_clamped or lo_clamped:
@@ -442,16 +469,28 @@ class FormulaAgreement:
         }
 
 
-_AGREEMENT_ROWS = (
-    "a1_star_at_oracle_f",
-    "f1_star_at_oracle_a",
-    "model1_coupled_pair",
-    "a2_star_partial_at_oracle_f",
-    "a2_star_full_at_oracle_f",
-    "f2_star",
-    "f2_star_coupled_at_oracle_a",
-    "model2_coupled_pair",
-)
+# Each feedback model's agreement section ends with its coupled fixed-point
+# solve, scored on both coordinates: (row name, closed_form solver name).
+_COUPLED_PAIRS = {
+    _M1: ("model1_coupled_pair", "model1_solve"),
+    _M2: ("model2_coupled_pair", "model2_solve_coupled"),
+}
+
+
+def _agreement_rows(model: ModelKind) -> tuple[tuple[str, FormulaVariant | str], ...]:
+    """The model's agreement rows as (name, source): each of its variants in
+    enum order, given the coordinate it conditions on from the joint oracle
+    optimum, then its coupled pair."""
+    rows = []
+    for variant in FormulaVariant:
+        row = _VARIANTS[variant]
+        if row.model is model:
+            suffix = "" if row.given is None else f"_at_oracle_{row.given}"
+            rows.append((variant.value + suffix, variant))
+    return tuple(rows) + (_COUPLED_PAIRS[model],)
+
+
+_AGREEMENT_SECTIONS = tuple((model, _agreement_rows(model)) for model in _COUPLED_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -538,16 +577,12 @@ class _AgreementTally:
         self.deviations: list[float] = []
         self.skipped = 0
 
-    def add(self, formula_value: float, oracle_value: float) -> None:
-        denom = max(abs(oracle_value), 1e-12)
-        self.deviations.append(abs(formula_value - oracle_value) / denom)
-
-    def add_pair(self, formula_pair: tuple[float, float], oracle_pair: tuple[float, float]) -> None:
-        devs = [
+    def add(self, formula_values: Sequence[float], oracle_values: Sequence[float]) -> None:
+        """Tally the largest relative deviation over the paired components."""
+        self.deviations.append(max(
             abs(fv - ov) / max(abs(ov), 1e-12)
-            for fv, ov in zip(formula_pair, oracle_pair)
-        ]
-        self.deviations.append(max(devs))
+            for fv, ov in zip(formula_values, oracle_values)
+        ))
 
     def skip(self) -> None:
         self.skipped += 1
@@ -568,92 +603,52 @@ class _AgreementTally:
         )
 
 
+def _formula_components(
+    source: FormulaVariant | str, at: SamplePoint, g: float,
+) -> Optional[dict[str, float]]:
+    """The formula side of one agreement row, keyed by strategy coordinate,
+    or None when the formula is clamped. ``source`` is a variant, evaluated
+    at the joint oracle optimum ``at``, or a coupled solver's name."""
+    if isinstance(source, FormulaVariant):
+        value, clamped = _formula_value(source, at)
+        return None if clamped else {_AXIS[_VARIANTS[source].quantity]: value}
+    strategy = getattr(cf, source)(at.efficiency, at.costs, g).strategy
+    return {"f": strategy.f, "a": strategy.a}
+
+
 def _collect_agreement(
     tallies: dict[str, _AgreementTally],
     point: SamplePoint,
     g: float,
     grid: GridSpec,
 ) -> None:
-    eff, costs = point.efficiency, point.costs
+    """Score one sample on every agreement row.
 
-    try:
-        joint1 = minimize_cost(ModelKind.FEEDBACK_FIRST, eff, costs, g, grid)
-    except EconError:
-        joint1 = None
-    if joint1 is None or "f" in joint1.grid_meta.lower_corner_axes:
-        for name in ("a1_star_at_oracle_f", "f1_star_at_oracle_a", "model1_coupled_pair"):
-            tallies[name].skip()
-    else:
-        f1o, a1o = joint1.strategy.f, joint1.strategy.a
+    A model's rows are all skipped when its joint oracle has no optimum or
+    puts feedback at the grid floor; a row alone is skipped when its formula
+    raises or is clamped.
+    """
+    for model, rows in _AGREEMENT_SECTIONS:
         try:
-            tallies["a1_star_at_oracle_f"].add(cf.a1_star(f1o, eff, costs), a1o)
+            joint = minimize_cost(model, point.efficiency, point.costs, g, grid)
         except EconError:
-            tallies["a1_star_at_oracle_f"].skip()
-        feedback = cf.f1_star(a1o, eff, costs)
-        if feedback.corner:
-            tallies["f1_star_at_oracle_a"].skip()
-        else:
-            tallies["f1_star_at_oracle_a"].add(feedback.value, f1o)
-        try:
-            pair = cf.model1_solve(eff, costs, g)
-        except EconError:
-            tallies["model1_coupled_pair"].skip()
-        else:
-            tallies["model1_coupled_pair"].add_pair(
-                (pair.strategy.f, pair.strategy.a), (f1o, a1o)
-            )
-
-    try:
-        joint2 = minimize_cost(ModelKind.FEEDBACK_AFTER, eff, costs, g, grid)
-    except EconError:
-        joint2 = None
-    m2_rows = (
-        "a2_star_partial_at_oracle_f",
-        "a2_star_full_at_oracle_f",
-        "f2_star",
-        "f2_star_coupled_at_oracle_a",
-        "model2_coupled_pair",
-    )
-    if joint2 is None or "f" in joint2.grid_meta.lower_corner_axes:
-        for name in m2_rows:
-            tallies[name].skip()
-        return
-    f2o, a2o = joint2.strategy.f, joint2.strategy.a
-    try:
-        tallies["a2_star_partial_at_oracle_f"].add(cf.a2_star_partial(f2o, eff, costs), a2o)
-    except EconError:
-        tallies["a2_star_partial_at_oracle_f"].skip()
-    try:
-        depth = cf.a2_star_full(f2o, eff, costs)
-    except EconError:
-        tallies["a2_star_full_at_oracle_f"].skip()
-    else:
-        if depth.corner:
-            tallies["a2_star_full_at_oracle_f"].skip()
-        else:
-            tallies["a2_star_full_at_oracle_f"].add(depth.value, a2o)
-    try:
-        level = cf.f2_star(eff, costs)
-    except EconError:
-        tallies["f2_star"].skip()
-    else:
-        if level.corner:
-            tallies["f2_star"].skip()
-        else:
-            tallies["f2_star"].add(level.value, f2o)
-    coupled = cf.f2_star_coupled(a2o, eff, costs)
-    if coupled.corner:
-        tallies["f2_star_coupled_at_oracle_a"].skip()
-    else:
-        tallies["f2_star_coupled_at_oracle_a"].add(coupled.value, f2o)
-    try:
-        pair2 = cf.model2_solve_coupled(eff, costs, g)
-    except EconError:
-        tallies["model2_coupled_pair"].skip()
-    else:
-        tallies["model2_coupled_pair"].add_pair(
-            (pair2.strategy.f, pair2.strategy.a), (f2o, a2o)
-        )
+            joint = None
+        if joint is None or "f" in joint.grid_meta.lower_corner_axes:
+            for name, _ in rows:
+                tallies[name].skip()
+            continue
+        oracle = joint.strategy
+        at = replace(point, f=oracle.f, a=oracle.a)
+        for name, source in rows:
+            try:
+                formula = _formula_components(source, at, g)
+            except EconError:
+                formula = None
+            if formula is None:
+                tallies[name].skip()
+            else:
+                oracle_values = tuple(getattr(oracle, axis) for axis in formula)
+                tallies[name].add(tuple(formula.values()), oracle_values)
 
 
 def audit_claims(
@@ -686,15 +681,15 @@ def audit_claims(
     samples = int(samples)
 
     registry = claim_registry()
-    counts = {
-        claim.id: {
-            "holds_formula": 0, "flat_formula": 0, "skipped_formula": 0, "n_formula": 0,
-            "holds_oracle": 0, "flat_oracle": 0, "skipped_oracle": 0, "n_oracle": 0,
-        }
-        for claim in registry
-    }
+    routes = (
+        ("formula", _formula_value, formula_h),
+        ("oracle", lambda variant, p: _oracle_component(variant, p, g, grid), oracle_h),
+    )
+    # Keyed by ClaimAudit's field names: n_, holds_, flat_, skipped_ per route.
+    stats = [f"{stat}_{route}" for route, _, _ in routes for stat in ("n", "holds", "flat", "skipped")]
+    counts = {claim.id: dict.fromkeys(stats, 0) for claim in registry}
     counterexamples: dict[str, list[dict]] = {claim.id: [] for claim in registry}
-    tallies = {name: _AgreementTally() for name in _AGREEMENT_ROWS}
+    tallies = {name: _AgreementTally() for _, rows in _AGREEMENT_SECTIONS for name, _ in rows}
 
     streams = np.random.SeedSequence(seed).spawn(samples)
     for stream in streams:
@@ -702,40 +697,26 @@ def audit_claims(
 
         for claim in registry:
             tally = counts[claim.id]
-            formula_sign: Optional[str] = None
-            try:
-                formula_sign, censored = _diff_once(
-                    lambda p, v=claim.formula_variant: _formula_value(v, p),
-                    claim.parameter, point, formula_h,
-                )
-            except EconError:
-                tally["skipped_formula"] += 1
-            else:
-                if censored or formula_sign == SIGN_FLAT:
-                    tally["flat_formula"] += 1
-                    formula_sign = None
+            signs: dict[str, Optional[str]] = {}
+            for route, evaluator, step in routes:
+                sign: Optional[str] = None
+                try:
+                    sign, censored = _diff_once(
+                        partial(evaluator, claim.formula_variant), claim.parameter, point, step,
+                    )
+                except EconError:
+                    tally[f"skipped_{route}"] += 1
                 else:
-                    tally["n_formula"] += 1
-                    if formula_sign == claim.expected_sign:
-                        tally["holds_formula"] += 1
+                    if censored or sign == SIGN_FLAT:
+                        tally[f"flat_{route}"] += 1
+                        sign = None
+                    else:
+                        tally[f"n_{route}"] += 1
+                        if sign == claim.expected_sign:
+                            tally[f"holds_{route}"] += 1
+                signs[route] = sign
 
-            oracle_sign: Optional[str] = None
-            try:
-                oracle_sign, censored = _diff_once(
-                    lambda p, c=claim: _oracle_component(c, p, g, grid),
-                    claim.parameter, point, oracle_h,
-                )
-            except EconError:
-                tally["skipped_oracle"] += 1
-            else:
-                if censored or oracle_sign == SIGN_FLAT:
-                    tally["flat_oracle"] += 1
-                    oracle_sign = None
-                else:
-                    tally["n_oracle"] += 1
-                    if oracle_sign == claim.expected_sign:
-                        tally["holds_oracle"] += 1
-
+            formula_sign = signs["formula"]
             if (
                 formula_sign is not None
                 and formula_sign != claim.expected_sign
@@ -745,28 +726,20 @@ def audit_claims(
                     "point": point.to_dict(),
                     "expected": claim.expected_sign,
                     "formula_sign": formula_sign,
-                    "oracle_sign": oracle_sign,
+                    "oracle_sign": signs["oracle"],
                 })
 
         _collect_agreement(tallies, point, g, grid)
 
-    rows = []
-    for claim in registry:
-        tally = counts[claim.id]
-        rows.append(ClaimAudit(
+    rows = tuple(
+        ClaimAudit(
             claim=claim,
             samples=samples,
-            n_formula=tally["n_formula"],
-            holds_formula=tally["holds_formula"],
-            flat_formula=tally["flat_formula"],
-            skipped_formula=tally["skipped_formula"],
-            n_oracle=tally["n_oracle"],
-            holds_oracle=tally["holds_oracle"],
-            flat_oracle=tally["flat_oracle"],
-            skipped_oracle=tally["skipped_oracle"],
             counterexamples=tuple(counterexamples[claim.id]),
-        ))
-
+            **counts[claim.id],
+        )
+        for claim in registry
+    )
     meta = {
         "samples": samples,
         "seed": seed,
@@ -779,8 +752,8 @@ def audit_claims(
         "agreement_threshold": AGREEMENT_THRESHOLD,
     }
     return ClaimAuditReport(
-        claims=tuple(rows),
-        agreement=tuple(tallies[name].finish(name) for name in _AGREEMENT_ROWS),
+        claims=rows,
+        agreement=tuple(tally.finish(name) for name, tally in tallies.items()),
         meta=meta,
     )
 

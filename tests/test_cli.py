@@ -159,6 +159,20 @@ class TestOracle:
         assert result.exit_code == 3
         assert "grid bound" in result.stderr
 
+    @pytest.mark.parametrize("command", [
+        ["oracle", "--model", "m0"], ["oracle", "--model", "m2"], ["viability"],
+    ], ids=["oracle-m0", "oracle-m2", "viability"])
+    def test_no_finite_cost_exits_three(self, runner, params_file, grid_file, command):
+        # No finite query count reaches the gain target anywhere on the
+        # lattice: a valid input with no usable optimum, not invalid input.
+        tiny = params_file(
+            "tiny.json", alpha=0.0068, beta=0.003, gamma1=0.1, gamma2=0.5,
+            c_query=1, c_feedback=1, c_assess=1,
+        )
+        result = _run(runner, command + ["--params", tiny, "--gain", "3.2e10", "--grid", grid_file])
+        assert result.exit_code == 3
+        assert "no finite cost" in result.stderr
+
     def test_bad_grid_file_is_invalid_input(self, runner, params_file, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"points": 64, "zoom": 3}))

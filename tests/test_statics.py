@@ -175,6 +175,12 @@ class TestFiniteDiffSign:
         big = point.with_param("c_query", 4000.0)
         assert finite_diff_sign(lambda p: (p.costs.c_query - 5000.0) ** 2, "c_query", big) == "-"
 
+    def test_zero_valued_parameter_is_domain_error(self, point):
+        # A relative step around 0 is no step at all.
+        at_zero = point.with_param("gamma1", 0.0)
+        with pytest.raises(DomainError, match="gamma1"):
+            finite_diff_sign(lambda p: p.efficiency.gamma1, "gamma1", at_zero)
+
 
 # ---------------------------------------------------------------------------
 # Claim audit
@@ -254,6 +260,17 @@ class TestAuditClaims:
         ]
         for row in small_audit.agreement:
             assert row.verdict in ("AGREES", "DISAGREES", "NO DATA")
+
+    def test_every_sample_is_counted_once(self, small_audit):
+        # Each route counts each sample as evaluated, flat or skipped, and
+        # each agreement row as evaluated or skipped: none is lost or doubled.
+        samples = small_audit.meta["samples"]
+        for row in small_audit.claims:
+            assert row.samples == samples
+            assert row.n_formula + row.flat_formula + row.skipped_formula == samples
+            assert row.n_oracle + row.flat_oracle + row.skipped_oracle == samples
+        for row in small_audit.agreement:
+            assert row.n + row.skipped == samples
 
     def test_deterministic_rerun(self, small_audit):
         again = audit_claims(samples=60, seed=7)
