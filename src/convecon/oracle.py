@@ -7,6 +7,26 @@ same answers: eliminate the query count analytically through the gain floor
 the remaining one or two axes on a logarithmic lattice with a few zoom-in
 refinement rounds.
 
+The zoom search runs on a leading instance axis: K instances of one model
+and one pin kind are searched at once, their lattices stacked as
+(K, feedback, assessment) arrays, each instance with its own windows.
+:func:`minimize_cost` is the K=1 call. The audit's batches go through
+:func:`_minimize_batch`, which solves them in blocks of at most one
+``points`` by ``points`` lattice of nodes: ``points`` instances of a
+one-axis search (the baseline, or a pinned axis) per block, a joint search
+alone. Every instance gets the bits its own K=1 call gives, by three rules:
+
+* numpy computes ``x**0.5``, ``x**2`` and ``x**-1`` by sqrt, square and
+  reciprocal only for a scalar exponent; a column of K exponents goes
+  through pow, which can differ in the last bit. An instance whose K=1
+  lattice raises to one of those values as a scalar is searched alone.
+* window shrinking stays in :mod:`math`, one instance at a time
+  (``np.log10`` and ``np.power`` can differ from ``math.log10`` and
+  ``10.0 **`` in the last bit); numpy's logspace over arrays of endpoints
+  matches its scalar calls row for row.
+* at K=1 the parameters reach numpy as plain floats, not (1, 1, 1) arrays:
+  the bits are the same, but arrays slow the lattice arithmetic down.
+
 The oracle also reports stationarity diagnostics (:func:`kkt_residual`) and
 an integer neighbourhood search (:func:`integer_refine`) for callers who need
 whole-number action counts rather than the continuous relaxation.
@@ -15,7 +35,8 @@ whole-number action counts rather than the continuous relaxation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -33,7 +54,7 @@ from .core import (
     cost_value,
     gain,
 )
-from .errors import DomainError, Infeasible, NoInteriorOptimum, Unbounded
+from .errors import DomainError, EconError, Infeasible, NoInteriorOptimum, Unbounded
 
 __all__ = [
     "GridSpec",
@@ -276,9 +297,19 @@ def kkt_residual(
     )
 
 
-def _log_axis(window: tuple[float, float], points: int) -> np.ndarray:
-    lo, hi = window
-    return np.logspace(math.log10(lo), math.log10(hi), points)
+def _log_axes(windows: Sequence[tuple[float, float]], points: int) -> np.ndarray:
+    """One log-spaced axis per window, as rows of a (K, points) array.
+
+    numpy's logspace over arrays of endpoints gives each row the bits of its
+    own scalar call, unless a row has a zero step: that sends every row down
+    another branch. A single window, or a block holding a zero step, goes
+    row by row.
+    """
+    exponents = [(math.log10(lo), math.log10(hi)) for lo, hi in windows]
+    if len(exponents) > 1 and all(lo != hi for lo, hi in exponents):
+        lo, hi = np.array(exponents).T
+        return np.logspace(lo, hi, points, axis=-1)
+    return np.array([np.logspace(lo, hi, points) for lo, hi in exponents])
 
 
 def _shrink(window: tuple[float, float], center: float, spec: GridSpec) -> tuple[float, float]:
@@ -290,33 +321,85 @@ def _shrink(window: tuple[float, float], center: float, spec: GridSpec) -> tuple
     return (10.0 ** max(g_lo, c - half), 10.0 ** min(g_hi, c + half))
 
 
-def _argmin_lex(total: np.ndarray, qv: np.ndarray, f_axis: np.ndarray, a_axis: np.ndarray) -> int:
-    """Flat index of the least cost; ties go to the smallest (q, f, a)."""
-    flat = total.ravel()
-    best = flat.min()
-    if not math.isfinite(best):
-        # A valid input whose gain target no finite query count reaches.
-        raise NoInteriorOptimum("grid evaluation produced no finite cost")
-    tied = np.flatnonzero(flat == best)
-    if tied.size == 1:
-        return int(tied[0])
-    f_idx, a_idx = np.divmod(tied, a_axis.size)
-    order = np.lexsort((a_axis[a_idx], f_axis[f_idx], qv.ravel()[tied]))
-    return int(tied[order[0]])
+def _argmin_lex(total: np.ndarray, qv: np.ndarray, f_axis: np.ndarray, a_axis: np.ndarray) -> list[int]:
+    """Per instance, the flat index of the least cost, ties going to the
+    smallest (q, f, a); -1 where no node has a finite cost."""
+    flat = total.reshape(len(total), -1)
+    index = flat.argmin(axis=1)
+    best = flat[np.arange(len(flat)), index]
+    is_best = flat == best[:, None]
+    # Counting per instance costs a pass over the lattice; skip it unless
+    # some instance has more than one least-cost node.
+    tied = is_best.sum(axis=1).tolist() if np.count_nonzero(is_best) > len(flat) else None
+    index = index.tolist()
+    for k, value in enumerate(best.tolist()):
+        if not math.isfinite(value):
+            index[k] = -1
+        elif tied is not None and tied[k] > 1:
+            nodes = np.flatnonzero(is_best[k])
+            f_idx, a_idx = np.divmod(nodes, a_axis.shape[1])
+            order = np.lexsort((a_axis[k, a_idx], f_axis[k, f_idx], qv[k].ravel()[nodes]))
+            index[k] = int(nodes[order[0]])
+    return index
 
 
 def _evaluate(model, efficiency, costs, g, f_axis, a_axis):
-    """Cost surface over the lattice with q eliminated through the floor.
+    """Cost surfaces over K lattices with q eliminated through the floor.
 
-    Returns (q, total) arrays of feedback rows by assessment columns.
+    ``f_axis`` and ``a_axis`` hold one axis per instance, (K, F) and (K, A);
+    returns (q, total) arrays of instances by feedback rows by assessment
+    columns.
     """
-    fcol = f_axis[:, None]
+    fcol = f_axis[:, :, None]
+    arow = a_axis[:, None, :]
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        qv = recover_q_value(model, g, fcol, a_axis, efficiency)
+        qv = recover_q_value(model, g, fcol, arow, efficiency)
         # A full-shape view of the assessment axis lets numpy reuse
         # cost_value's lattice-sized temporaries in place.
-        total = cost_value(model, qv, fcol, np.broadcast_to(a_axis, qv.shape), costs)
+        total = cost_value(model, qv, fcol, np.broadcast_to(arow, qv.shape), costs)
     return qv, np.where(np.isfinite(total), total, np.inf)
+
+
+def _columns(params: Sequence) -> SimpleNamespace:
+    """K parameter bundles as one, each field a (K, 1, 1) column.
+
+    ``recover_q_value`` and ``cost_value`` only read the fields, so the
+    columns broadcast against K stacked lattices.
+    """
+    return SimpleNamespace(**{
+        field.name: np.array([getattr(p, field.name) for p in params]).reshape(-1, 1, 1)
+        for field in fields(params[0])
+    })
+
+
+def _pow_fast_path(model: ModelKind, efficiency: EfficiencyParams) -> bool:
+    """Whether a lone lattice of this instance raises to an exponent numpy
+    special-cases.
+
+    Given float parameters, ``recover_q_value`` raises to ``beta``, to
+    ``gamma2`` where feedback repeats the pass, and to ``1 / alpha`` where
+    feedback does not lift the query exponent as scalars (a lifted exponent
+    is an array over ``f``). numpy computes a scalar 0.5, 2 or -1 by sqrt,
+    square or reciprocal; in a column of K exponents it uses pow, which can
+    differ in the last bit.
+    """
+    row = _model_row(model)
+    exponents = [efficiency.beta]
+    if row.repeat:
+        exponents.append(efficiency.gamma2)
+    if not row.lift:
+        exponents.append(1.0 / efficiency.alpha)
+    return any(value in (0.5, 2.0, -1.0) for value in exponents)
+
+
+def _check_pin(model: ModelKind, pin: Optional[str], value) -> None:
+    if pin == "f":
+        if not model.uses_feedback:
+            raise DomainError("pin_f applies only to feedback models")
+        if not math.isfinite(value) or value < 0.0:
+            raise DomainError("pin_f must be finite and >= 0")
+    elif pin == "a" and (not math.isfinite(value) or value <= 0.0):
+        raise DomainError("pin_a must be finite and > 0")
 
 
 def minimize_cost(
@@ -349,80 +432,167 @@ def minimize_cost(
     if not isinstance(model, ModelKind):
         model = ModelKind.from_code(model)
     spec = grid if grid is not None else GridSpec()
-
-    uses_f = model.uses_feedback
     if pin_f is not None and pin_a is not None:
         raise DomainError("cannot pin both axes; nothing would be left to search")
-    if pin_f is not None:
-        if not uses_f:
-            raise DomainError("pin_f applies only to feedback models")
-        if not math.isfinite(pin_f) or pin_f < 0.0:
-            raise DomainError("pin_f must be finite and >= 0")
-    if pin_a is not None and (not math.isfinite(pin_a) or pin_a <= 0.0):
-        raise DomainError("pin_a must be finite and > 0")
+    pin = "a" if pin_a is not None else "f" if pin_f is not None else None
+    value = pin_a if pin == "a" else pin_f
+    _check_pin(model, pin, value)
+    results = _search(model, [(efficiency, costs, value)], g, spec, pin)
+    if isinstance(results[0], EconError):
+        # Popped, not bound to a name: the traceback would hold this frame,
+        # and the frame the error, in a cycle only the collector frees.
+        raise results.pop()
+    return results[0]
 
-    a_window = (spec.min, spec.max)
-    f_window = (spec.min, spec.max) if uses_f else None
+
+def _minimize_batch(
+    model: ModelKind,
+    instances: Sequence[tuple[EfficiencyParams, CostParams, Optional[float]]],
+    g: float,
+    grid: Optional[GridSpec] = None,
+    *,
+    pin: Optional[str] = None,
+) -> list[Union[OptimalStrategy, EconError]]:
+    """:func:`minimize_cost` for many instances of one model and pin kind.
+
+    ``instances`` are ``(efficiency, costs, value)`` triples, ``value``
+    being the instance's ``pin_f`` or ``pin_a`` as ``pin`` is ``"f"`` or
+    ``"a"`` (ignored when ``pin`` is None). Returns, in order, each
+    instance's solution or the :class:`EconError` its own call would raise,
+    kept without a traceback; solutions match their own calls bit for bit.
+    Instances are searched together in blocks of at most one ``points`` by
+    ``points`` lattice of nodes: ``points`` instances of a one-axis search,
+    a joint search alone.
+    """
+    g = check_gain(g)
+    if not isinstance(model, ModelKind):
+        model = ModelKind.from_code(model)
+    spec = grid if grid is not None else GridSpec()
+    searched = int(pin != "a") + int(model.uses_feedback and pin != "f")
+    cap = spec.points ** (2 - searched)
+
+    results: list = [None] * len(instances)
+    blocks, pending = [], []
+    for i, (efficiency, _, value) in enumerate(instances):
+        try:
+            _check_pin(model, pin, value)
+        except DomainError as exc:
+            results[i] = exc.with_traceback(None)
+            continue
+        if _pow_fast_path(model, efficiency):
+            blocks.append([i])
+        else:
+            pending.append(i)
+    blocks += [pending[start:start + cap] for start in range(0, len(pending), cap)]
+    for block in blocks:
+        solved = _search(model, [instances[i] for i in block], g, spec, pin)
+        for i, result in zip(block, solved):
+            results[i] = result
+    return results
+
+
+def _search(
+    model: ModelKind,
+    instances: Sequence[tuple[EfficiencyParams, CostParams, Optional[float]]],
+    g: float,
+    spec: GridSpec,
+    pin: Optional[str],
+) -> list[Union[OptimalStrategy, EconError]]:
+    """The zoom search for one block of K validated instances, their
+    lattices stacked on a leading axis; each instance keeps its own
+    windows. Returns what :func:`_minimize_batch` does for the block."""
+    size = len(instances)
+    if size == 1:
+        # Float parameters at K=1: the same bits, and faster than columns.
+        efficiency, costs = instances[0][0], instances[0][1]
+    else:
+        efficiency = _columns([instance[0] for instance in instances])
+        costs = _columns([instance[1] for instance in instances])
+    values = [instance[2] for instance in instances]
+    pinned = np.array(values).reshape(size, 1) if pin is not None else None
     # A model without feedback searches the single feedback row f = 0.
-    f_fixed = pin_f if uses_f else 0.0
+    f_fixed = pinned if pin == "f" else None if model.uses_feedback else np.zeros((size, 1))
+    a_fixed = pinned if pin == "a" else None
+    f_windows = [(spec.min, spec.max)] * size if f_fixed is None else None
+    a_windows = [(spec.min, spec.max)] * size if a_fixed is None else None
+    pinned_axes = (pin,) if pin is not None else ()
 
-    best_q = best_f = best_a = float("nan")
-    f_idx = a_idx = 0
-    total = None
-    f_axis = a_axis = None
+    errors: list[Optional[EconError]] = [None] * size
+    best = [(0, 0)] * size
     for round_index in range(spec.refinements + 1):
-        a_axis = np.array([pin_a]) if pin_a is not None else _log_axis(a_window, spec.points)
-        f_axis = np.array([f_fixed]) if f_fixed is not None else _log_axis(f_window, spec.points)
+        f_axis = f_fixed if f_windows is None else _log_axes(f_windows, spec.points)
+        a_axis = a_fixed if a_windows is None else _log_axes(a_windows, spec.points)
         qv, total = _evaluate(model, efficiency, costs, g, f_axis, a_axis)
-        flat_idx = _argmin_lex(total, qv, f_axis, a_axis)
-        f_idx, a_idx = divmod(flat_idx, a_axis.size)
-        best_q = float(qv.ravel()[flat_idx])
-        best_f = float(f_axis[f_idx])
-        best_a = float(a_axis[a_idx])
+        for k, flat_idx in enumerate(_argmin_lex(total, qv, f_axis, a_axis)):
+            if flat_idx < 0:
+                # A valid input whose gain target no finite query count reaches.
+                errors[k] = errors[k] or NoInteriorOptimum("grid evaluation produced no finite cost")
+            else:
+                best[k] = divmod(flat_idx, a_axis.shape[1])
+        if all(errors):
+            return errors
         if round_index < spec.refinements:
-            if pin_a is None:
-                a_window = _shrink(a_window, best_a, spec)
-            if f_fixed is None:
-                f_window = _shrink(f_window, best_f, spec)
+            if a_windows is not None:
+                a_windows = [
+                    _shrink(window, float(a_axis[k, a_idx]), spec)
+                    for k, (window, (_, a_idx)) in enumerate(zip(a_windows, best))
+                ]
+            if f_windows is not None:
+                f_windows = [
+                    _shrink(window, float(f_axis[k, f_idx]), spec)
+                    for k, (window, (f_idx, _)) in enumerate(zip(f_windows, best))
+                ]
 
-    lower_corners = []
-    if f_fixed is None:
-        if f_idx == f_axis.size - 1 and f_axis[-1] == spec.max:
-            if total[f_idx - 1, a_idx] > total[f_idx, a_idx]:
-                raise Unbounded(
-                    "cost still decreasing at the upper grid bound on the feedback axis "
-                    f"(f = {spec.max}); the optimum lies outside the search box"
-                )
-        if f_idx == 0 and f_axis[0] == spec.min:
-            lower_corners.append("f")
-    if pin_a is None and a_idx == a_axis.size - 1 and a_axis[-1] == spec.max:
-        if total[f_idx, a_idx - 1] > total[f_idx, a_idx]:
-            raise Unbounded(
-                "cost still decreasing at the upper grid bound on the assessment axis "
-                f"(a = {spec.max}); the optimum lies outside the search box"
-            )
-    if pin_a is None and a_idx == 0 and a_axis[0] == spec.min:
-        lower_corners.append("a")
-
-    pinned = tuple(
-        name for name, value in (("f", pin_f), ("a", pin_a)) if value is not None
-    )
-    strategy = Strategy(model, q=best_q, f=best_f, a=best_a)
-    meta = GridMeta(
-        points=spec.points,
-        refinements=spec.refinements,
-        a_window=(pin_a, pin_a) if pin_a is not None else a_window,
-        f_window=(pin_f, pin_f) if pin_f is not None else f_window,
-        lower_corner_axes=tuple(lower_corners),
-        pinned_axes=pinned,
-    )
-    return OptimalStrategy(
-        strategy=strategy,
-        achieved_gain=gain(strategy, efficiency),
-        total_cost=cost(strategy, costs),
-        kkt=kkt_residual(strategy, efficiency, costs, g),
-        grid_meta=meta,
-    )
+    results: list = []
+    for k, (efficiency_k, costs_k, value) in enumerate(instances):
+        if errors[k] is not None:
+            results.append(errors[k])
+            continue
+        f_idx, a_idx = best[k]
+        surface = total[k]
+        lower_corners = []
+        if f_windows is not None:
+            if f_idx == f_axis.shape[1] - 1 and f_axis[k, -1] == spec.max:
+                if surface[f_idx - 1, a_idx] > surface[f_idx, a_idx]:
+                    results.append(Unbounded(
+                        "cost still decreasing at the upper grid bound on the feedback axis "
+                        f"(f = {spec.max}); the optimum lies outside the search box"
+                    ))
+                    continue
+            if f_idx == 0 and f_axis[k, 0] == spec.min:
+                lower_corners.append("f")
+        if a_windows is not None:
+            if a_idx == a_axis.shape[1] - 1 and a_axis[k, -1] == spec.max:
+                if surface[f_idx, a_idx - 1] > surface[f_idx, a_idx]:
+                    results.append(Unbounded(
+                        "cost still decreasing at the upper grid bound on the assessment axis "
+                        f"(a = {spec.max}); the optimum lies outside the search box"
+                    ))
+                    continue
+            if a_idx == 0 and a_axis[k, 0] == spec.min:
+                lower_corners.append("a")
+        strategy = Strategy(
+            model, q=float(qv[k, f_idx, a_idx]), f=float(f_axis[k, f_idx]), a=float(a_axis[k, a_idx]),
+        )
+        meta = GridMeta(
+            points=spec.points,
+            refinements=spec.refinements,
+            a_window=(value, value) if pin == "a" else a_windows[k],
+            f_window=(value, value) if pin == "f" else None if f_windows is None else f_windows[k],
+            lower_corner_axes=tuple(lower_corners),
+            pinned_axes=pinned_axes,
+        )
+        try:
+            results.append(OptimalStrategy(
+                strategy=strategy,
+                achieved_gain=gain(strategy, efficiency_k),
+                total_cost=cost(strategy, costs_k),
+                kkt=kkt_residual(strategy, efficiency_k, costs_k, g),
+                grid_meta=meta,
+            ))
+        except EconError as exc:
+            results.append(exc.with_traceback(None))
+    return results
 
 
 def _integer_candidates(center: float, radius: int, floor: int) -> range:

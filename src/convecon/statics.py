@@ -48,7 +48,7 @@ from .core import (
     params_to_mapping,
 )
 from .errors import Diverged, DomainError, EconError, Infeasible, NoInteriorOptimum, Unbounded
-from .oracle import GridSpec, minimize_cost
+from .oracle import GridSpec, OptimalStrategy, _minimize_batch, minimize_cost
 
 __all__ = [
     "Quantity",
@@ -68,9 +68,9 @@ __all__ = [
     "DEFAULT_AUDIT_GRID",
 ]
 
-# Lighter than the oracle's default: the audit solves the same instance
-# thousands of times and only needs ~0.3% component accuracy for sign and
-# 5%-agreement work.
+# Lighter than the oracle's default: the audit solves about 46 instances per
+# sample (about 9,100 at 200 samples), every one different, and only needs
+# ~0.3% component accuracy for sign and 5%-agreement work.
 DEFAULT_AUDIT_GRID = GridSpec(points=64, refinements=2)
 
 AXIS_ORDER = PARAM_FIELDS + ("f", "a")
@@ -353,6 +353,12 @@ def _formula_value(variant: FormulaVariant, point: SamplePoint) -> tuple[float, 
     return value, False
 
 
+def _component(solution: OptimalStrategy, quantity: Quantity, grid: GridSpec) -> tuple[float, bool]:
+    """(component, at_corner) of an oracle solution for ``quantity``."""
+    component = getattr(solution.strategy, _AXIS[quantity])
+    return component, component <= grid.min * (1.0 + 1e-9)
+
+
 def _oracle_component(
     variant: FormulaVariant, point: SamplePoint, g: float, grid: GridSpec,
 ) -> tuple[float, bool]:
@@ -362,10 +368,32 @@ def _oracle_component(
     feedback-only search, and unconditioned formulas the joint search."""
     model, quantity, given = _VARIANTS[variant]
     pins = {} if given is None else {f"pin_{given}": getattr(point, given)}
-    solution = minimize_cost(model, point.efficiency, point.costs, g, grid, **pins)
-    component = getattr(solution.strategy, _AXIS[quantity])
-    at_corner = component <= grid.min * (1.0 + 1e-9)
-    return component, at_corner
+    return _component(minimize_cost(model, point.efficiency, point.costs, g, grid, **pins), quantity, grid)
+
+
+def _perturbed(point: SamplePoint, parameter: str, h: float) -> tuple[float, SamplePoint, SamplePoint]:
+    """(base, point at base*(1+h), point at base*(1-h)) for a relative
+    central difference in ``parameter``."""
+    base = point.value_of(parameter)
+    if base == 0.0:
+        raise DomainError(f"{parameter} is 0; a relative step needs a non-zero value")
+    return (
+        base,
+        point.with_param(parameter, base * (1.0 + h)),
+        point.with_param(parameter, base * (1.0 - h)),
+    )
+
+
+def _difference(
+    hi: tuple[float, bool], lo: tuple[float, bool], base: float, h: float,
+) -> tuple[str, bool]:
+    """(sign, censored) of one central difference from the (value, clamped)
+    pairs at ``base*(1+h)`` and ``base*(1-h)``."""
+    (hi_value, hi_clamped), (lo_value, lo_clamped) = hi, lo
+    if hi_clamped or lo_clamped:
+        return SIGN_FLAT, True
+    derivative = (hi_value - lo_value) / (2.0 * h * base)
+    return _sign_of(derivative), False
 
 
 def _diff_once(
@@ -375,15 +403,78 @@ def _diff_once(
     h: float,
 ) -> tuple[str, bool]:
     """(sign, censored) of one central difference on a (value, clamped) evaluator."""
-    base = point.value_of(parameter)
-    if base == 0.0:
-        raise DomainError(f"{parameter} is 0; a relative step needs a non-zero value")
-    hi_value, hi_clamped = value_fn(point.with_param(parameter, base * (1.0 + h)))
-    lo_value, lo_clamped = value_fn(point.with_param(parameter, base * (1.0 - h)))
-    if hi_clamped or lo_clamped:
-        return SIGN_FLAT, True
-    derivative = (hi_value - lo_value) / (2.0 * h * base)
-    return _sign_of(derivative), False
+    base, hi, lo = _perturbed(point, parameter, h)
+    return _difference(value_fn(hi), value_fn(lo), base, h)
+
+
+# A route's outcome at one sample: (sign, censored), or None when it cannot
+# evaluate there.
+_Outcome = Optional[tuple[str, bool]]
+
+
+def _outcomes(
+    value_fn: Callable[[SamplePoint], tuple[float, bool]],
+    parameter: str,
+    points: Sequence[SamplePoint],
+    h: float,
+) -> list[_Outcome]:
+    """One central difference per sample, one sample at a time."""
+    outcomes: list[_Outcome] = []
+    for point in points:
+        try:
+            outcomes.append(_diff_once(value_fn, parameter, point, h))
+        except EconError:
+            outcomes.append(None)
+    return outcomes
+
+
+def _batched_oracle_outcomes(
+    variant: FormulaVariant,
+    parameter: str,
+    points: Sequence[SamplePoint],
+    h: float,
+    g: float,
+    grid: GridSpec,
+) -> list[_Outcome]:
+    """The oracle route of a one-axis variant at every sample: both
+    perturbed points of every sample go to the oracle as one batch.
+
+    The same outcomes as :func:`_outcomes` on :func:`_oracle_component`:
+    a sample is skipped when either of its points is invalid or has no
+    solution.
+    """
+    model, quantity, given = _VARIANTS[variant]
+    steps = []
+    for point in points:
+        try:
+            steps.append(_perturbed(point, parameter, h))
+        except EconError:
+            steps.append(None)
+    perturbed = [p for step in steps if step is not None for p in step[1:]]
+    solutions = iter(_minimize_batch(
+        model,
+        [(p.efficiency, p.costs, None if given is None else getattr(p, given)) for p in perturbed],
+        g,
+        grid,
+        pin=given,
+    ))
+    outcomes: list[_Outcome] = []
+    for step in steps:
+        pair = None if step is None else (next(solutions), next(solutions))
+        if pair is None or any(isinstance(solution, EconError) for solution in pair):
+            outcomes.append(None)
+        else:
+            hi, lo = (_component(solution, quantity, grid) for solution in pair)
+            outcomes.append(_difference(hi, lo, step[0], h))
+    return outcomes
+
+
+def _searches_one_axis(variant: FormulaVariant) -> bool:
+    """Whether the variant's oracle searches one axis: a model without
+    feedback, or a pinned coordinate. A joint search fills a whole batch
+    block alone, so it goes through :func:`minimize_cost` one at a time."""
+    row = _VARIANTS[variant]
+    return row.given is not None or not row.model.uses_feedback
 
 
 @dataclass(frozen=True)
@@ -671,7 +762,10 @@ def audit_claims(
     drowns the 1e-4 step the formulas use.
 
     Deterministic for fixed arguments: each sample gets its own spawned
-    random substream, and aggregation order is fixed.
+    random substream, and aggregation order is fixed. Every sample is drawn
+    first; the claims then run one at a time, and a one-axis oracle route
+    (the baseline, or a pinned coordinate) solves all its samples as one
+    batch.
     """
     region = region if region is not None else default_region()
     grid = grid if grid is not None else DEFAULT_AUDIT_GRID
@@ -681,32 +775,34 @@ def audit_claims(
     samples = int(samples)
 
     registry = claim_registry()
-    routes = (
-        ("formula", _formula_value, formula_h),
-        ("oracle", lambda variant, p: _oracle_component(variant, p, g, grid), oracle_h),
-    )
+    routes = ("formula", "oracle")
     # Keyed by ClaimAudit's field names: n_, holds_, flat_, skipped_ per route.
-    stats = [f"{stat}_{route}" for route, _, _ in routes for stat in ("n", "holds", "flat", "skipped")]
+    stats = [f"{stat}_{route}" for route in routes for stat in ("n", "holds", "flat", "skipped")]
     counts = {claim.id: dict.fromkeys(stats, 0) for claim in registry}
     counterexamples: dict[str, list[dict]] = {claim.id: [] for claim in registry}
     tallies = {name: _AgreementTally() for _, rows in _AGREEMENT_SECTIONS for name, _ in rows}
 
     streams = np.random.SeedSequence(seed).spawn(samples)
-    for stream in streams:
-        point = _draw_point(np.random.default_rng(stream), region)
+    points = [_draw_point(np.random.default_rng(stream), region) for stream in streams]
 
-        for claim in registry:
-            tally = counts[claim.id]
-            signs: dict[str, Optional[str]] = {}
-            for route, evaluator, step in routes:
+    for claim in registry:
+        variant, parameter = claim.formula_variant, claim.parameter
+        if _searches_one_axis(variant):
+            oracle = _batched_oracle_outcomes(variant, parameter, points, oracle_h, g, grid)
+        else:
+            oracle = _outcomes(partial(_oracle_component, variant, g=g, grid=grid), parameter, points, oracle_h)
+        formula = _outcomes(partial(_formula_value, variant), parameter, points, formula_h)
+
+        tally = counts[claim.id]
+        signs: dict[str, list[Optional[str]]] = {}
+        for route, outcomes in zip(routes, (formula, oracle)):
+            signs[route] = []
+            for outcome in outcomes:
                 sign: Optional[str] = None
-                try:
-                    sign, censored = _diff_once(
-                        partial(evaluator, claim.formula_variant), claim.parameter, point, step,
-                    )
-                except EconError:
+                if outcome is None:
                     tally[f"skipped_{route}"] += 1
                 else:
+                    sign, censored = outcome
                     if censored or sign == SIGN_FLAT:
                         tally[f"flat_{route}"] += 1
                         sign = None
@@ -714,9 +810,9 @@ def audit_claims(
                         tally[f"n_{route}"] += 1
                         if sign == claim.expected_sign:
                             tally[f"holds_{route}"] += 1
-                signs[route] = sign
+                signs[route].append(sign)
 
-            formula_sign = signs["formula"]
+        for point, formula_sign, oracle_sign in zip(points, signs["formula"], signs["oracle"]):
             if (
                 formula_sign is not None
                 and formula_sign != claim.expected_sign
@@ -726,9 +822,10 @@ def audit_claims(
                     "point": point.to_dict(),
                     "expected": claim.expected_sign,
                     "formula_sign": formula_sign,
-                    "oracle_sign": signs["oracle"],
+                    "oracle_sign": oracle_sign,
                 })
 
+    for point in points:
         _collect_agreement(tallies, point, g, grid)
 
     rows = tuple(
@@ -794,19 +891,21 @@ def _sweep_targets(model: ModelKind, point_eff: EfficiencyParams, point_costs: C
         pair = cf.model1_solve(point_eff, point_costs, g)
         values["m1_f_star"] = pair.strategy.f
         values["m1_a_star"] = pair.strategy.a
+    level: Optional[float] = None  # f2_star, computed once for the m2 targets
     for name in targets:
         if name in values:
             continue
         if name == "a0_star":
             values[name] = cf.a0_star(point_eff, point_costs)
-        elif name == "f2_star":
-            values[name] = cf.f2_star(point_eff, point_costs).value
-        elif name == "a2_star_partial":
-            level = cf.f2_star(point_eff, point_costs).value
-            values[name] = cf.a2_star_partial(level, point_eff, point_costs)
-        elif name == "a2_star_full":
-            level = cf.f2_star(point_eff, point_costs).value
-            values[name] = cf.a2_star_full(level, point_eff, point_costs).value
+        elif name in ("f2_star", "a2_star_partial", "a2_star_full"):
+            if level is None:
+                level = cf.f2_star(point_eff, point_costs).value
+            if name == "f2_star":
+                values[name] = level
+            elif name == "a2_star_partial":
+                values[name] = cf.a2_star_partial(level, point_eff, point_costs)
+            else:
+                values[name] = cf.a2_star_full(level, point_eff, point_costs).value
         else:
             raise DomainError(f"unknown sweep target {name!r} for model {model.code}")
     return values

@@ -35,7 +35,8 @@ from convecon import (
 )
 from convecon.closed_form import recover_q_value
 from convecon.core import cost_value, gain_value
-from convecon.oracle import _gradients
+from convecon.errors import EconError, NoInteriorOptimum
+from convecon.oracle import _gradients, _log_axes, _minimize_batch
 
 M0 = ModelKind.BASELINE
 M1 = ModelKind.FEEDBACK_FIRST
@@ -509,3 +510,83 @@ def test_gradients_match_central_differences(model):
             ) / (2 * h)
             assert cost_grad[axis] == pytest.approx(numeric_cost, rel=1e-6)
             assert gain_grad[axis] == pytest.approx(numeric_gain, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Batched search: every instance gets the bits of its own call
+
+
+def _batch_instances():
+    """(efficiency, costs) pairs mixing random draws with the cases that
+    could part a batch from its single calls."""
+    rng = np.random.default_rng(20261018)
+    instances = [_sample_instance(rng)[:2] for _ in range(5)]
+    costs = CostParams(c_query=10.0, c_feedback=2.0, c_assess=1.0)
+    for alpha, beta, gamma1, gamma2 in (
+        # Exponents numpy computes by sqrt, square or reciprocal when they
+        # are scalars: 1/alpha = 2, beta = 0.5, gamma2 = 0.5.
+        (0.5, 0.3, 0.2, 0.1),
+        (0.9, 0.5, 0.2, 0.3),
+        (0.9, 0.3, 0.2, 0.5),
+        # No finite query count reaches the larger gain target.
+        (0.0068, 0.003, 0.1, 0.4),
+        # Unbounded for m2 (gamma2 >= alpha); the first is also a fast path.
+        (0.5, 0.3, 0.2, 0.8),
+        (0.55, 0.3, 0.2, 0.8),
+    ):
+        instances.append((EfficiencyParams(alpha, beta, gamma1, gamma2), costs))
+    return instances
+
+
+def test_log_axes_rows_match_scalar_logspace():
+    # numpy's logspace over arrays of endpoints takes another branch for
+    # every row once one row has a zero step; each row must still get the
+    # bits of its own scalar call.
+    windows = [(0.5, 40.0), (1e-3, 1e4), (2.0, 2.0)]
+    for block in (windows, windows[:2]):
+        axes = _log_axes(block, 64)
+        assert axes.shape == (len(block), 64)
+        for row, (lo, hi) in zip(axes, block):
+            expected = np.logspace(math.log10(lo), math.log10(hi), 64)
+            assert [v.hex() for v in row] == [v.hex() for v in expected]
+
+
+def _own_call(model, efficiency, costs, g, grid, pin, value):
+    kwargs = {} if pin is None else {f"pin_{pin}": value}
+    try:
+        return minimize_cost(model, efficiency, costs, g, grid, **kwargs)
+    except EconError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(points=64, refinements=2), GridSpec(), GridSpec(points=4, refinements=18),
+], ids=["audit-grid", "default-grid", "collapsing-windows"])
+@pytest.mark.parametrize("pin", [None, "f", "a"])
+@pytest.mark.parametrize("model", [M0, M1, M2])
+def test_batch_matches_single_calls_bit_for_bit(model, pin, grid):
+    pairs = _batch_instances()
+    values = np.exp(np.random.default_rng(7).uniform(np.log(0.5), np.log(30.0), len(pairs)))
+    instances = [(efficiency, costs, float(value)) for (efficiency, costs), value in zip(pairs, values)]
+    if pin == "f":
+        instances[0] = instances[0][:2] + (0.0,)
+    seen = set()
+    for g in (100.0, 3.2e10):
+        batch = _minimize_batch(model, instances, g, grid, pin=pin)
+        assert len(batch) == len(instances)
+        for (efficiency, costs, value), result in zip(instances, batch):
+            expected = _own_call(model, efficiency, costs, g, grid, pin, value)
+            assert type(result) is type(expected)
+            seen.add(type(result))
+            if isinstance(expected, EconError):
+                assert str(result) == str(expected)
+                assert result.__traceback__ is None
+            else:
+                for axis in "qfa":
+                    got, want = getattr(result.strategy, axis), getattr(expected.strategy, axis)
+                    assert got.hex() == want.hex()
+                assert result.to_dict() == expected.to_dict()
+    if model is M0 and pin == "f":
+        assert seen == {DomainError}  # pin_f applies only to feedback models
+    elif model is not M1 and pin is None:
+        assert NoInteriorOptimum in seen

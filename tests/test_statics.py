@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from convecon import (
@@ -22,7 +23,7 @@ from convecon import (
     finite_diff_sign,
     sweep,
 )
-from convecon.statics import AXIS_ORDER, DEFAULT_AUDIT_GRID
+from convecon.statics import AXIS_ORDER, DEFAULT_AUDIT_GRID, _draw_point
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +272,23 @@ class TestAuditClaims:
             assert row.n_oracle + row.flat_oracle + row.skipped_oracle == samples
         for row in small_audit.agreement:
             assert row.n + row.skipped == samples
+
+    def test_wide_region_counts_invalid_steps_as_skipped(self):
+        # Exponents up to their cap of 1: a +5% oracle step can leave the
+        # valid domain, and such a sample must still be counted, as skipped.
+        region = ParameterRegion.from_mapping({
+            **default_region().to_dict(),
+            "alpha": [0.3, 1.0], "beta": [0.05, 1.0], "gamma2": [0.1, 1.0],
+        })
+        report = audit_claims(region=region, samples=30, seed=3)
+        for row in report.claims:
+            assert row.n_formula + row.flat_formula + row.skipped_formula == 30
+            assert row.n_oracle + row.flat_oracle + row.skipped_oracle == 30
+        streams = np.random.SeedSequence(3).spawn(30)
+        alphas = [_draw_point(np.random.default_rng(s), region).efficiency.alpha for s in streams]
+        over_cap = sum(alpha * 1.05 > 1.0 for alpha in alphas)
+        assert over_cap > 0
+        assert report.claim("M0-3").skipped_oracle >= over_cap > 0
 
     def test_deterministic_rerun(self, small_audit):
         again = audit_claims(samples=60, seed=7)
