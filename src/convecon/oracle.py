@@ -10,11 +10,13 @@ refinement rounds.
 The zoom search runs on a leading instance axis: K instances of one model
 and one pin kind are searched at once, their lattices stacked as
 (K, feedback, assessment) arrays, each instance with its own windows.
-:func:`minimize_cost` is the K=1 call. The audit's batches go through
-:func:`_minimize_batch`, which solves them in blocks of at most one
-``points`` by ``points`` lattice of nodes: ``points`` instances of a
-one-axis search (the baseline, or a pinned axis) per block, a joint search
-alone. Every instance gets the bits its own K=1 call gives, by three rules:
+:func:`_minimize_batch` is the one entry: it validates the instances and
+solves them in blocks of at most one ``points`` by ``points`` lattice of
+nodes: ``points`` instances of a one-axis search (the baseline, or a pinned
+axis) per block, a joint search alone. :func:`minimize_cost` is its
+one-instance call, and the audit passes it every perturbed sample of a
+claim at once. Every instance gets the bits its own K=1 call gives, by
+three rules:
 
 * numpy computes ``x**0.5``, ``x**2`` and ``x**-1`` by sqrt, square and
   reciprocal only for a scalar exponent; a column of K exponents goes
@@ -428,16 +430,11 @@ def minimize_cost(
     questions ("best depth at this feedback level"). A pinned axis is exempt
     from boundary diagnostics.
     """
-    g = check_gain(g)
-    if not isinstance(model, ModelKind):
-        model = ModelKind.from_code(model)
-    spec = grid if grid is not None else GridSpec()
     if pin_f is not None and pin_a is not None:
         raise DomainError("cannot pin both axes; nothing would be left to search")
     pin = "a" if pin_a is not None else "f" if pin_f is not None else None
     value = pin_a if pin == "a" else pin_f
-    _check_pin(model, pin, value)
-    results = _search(model, [(efficiency, costs, value)], g, spec, pin)
+    results = _minimize_batch(model, [(efficiency, costs, value)], g, grid, pin=pin)
     if isinstance(results[0], EconError):
         # Popped, not bound to a name: the traceback would hold this frame,
         # and the frame the error, in a cycle only the collector frees.

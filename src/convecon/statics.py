@@ -359,18 +359,6 @@ def _component(solution: OptimalStrategy, quantity: Quantity, grid: GridSpec) ->
     return component, component <= grid.min * (1.0 + 1e-9)
 
 
-def _oracle_component(
-    variant: FormulaVariant, point: SamplePoint, g: float, grid: GridSpec,
-) -> tuple[float, bool]:
-    """(component, at_corner) of the oracle conditioned as the formula is:
-    the coordinate the formula is given is pinned at ``point``'s value, so
-    depth formulas get a depth-only search, fixed-depth feedback formulas a
-    feedback-only search, and unconditioned formulas the joint search."""
-    model, quantity, given = _VARIANTS[variant]
-    pins = {} if given is None else {f"pin_{given}": getattr(point, given)}
-    return _component(minimize_cost(model, point.efficiency, point.costs, g, grid, **pins), quantity, grid)
-
-
 def _perturbed(point: SamplePoint, parameter: str, h: float) -> tuple[float, SamplePoint, SamplePoint]:
     """(base, point at base*(1+h), point at base*(1-h)) for a relative
     central difference in ``parameter``."""
@@ -428,7 +416,7 @@ def _outcomes(
     return outcomes
 
 
-def _batched_oracle_outcomes(
+def _oracle_outcomes(
     variant: FormulaVariant,
     parameter: str,
     points: Sequence[SamplePoint],
@@ -436,12 +424,13 @@ def _batched_oracle_outcomes(
     g: float,
     grid: GridSpec,
 ) -> list[_Outcome]:
-    """The oracle route of a one-axis variant at every sample: both
-    perturbed points of every sample go to the oracle as one batch.
-
-    The same outcomes as :func:`_outcomes` on :func:`_oracle_component`:
-    a sample is skipped when either of its points is invalid or has no
-    solution.
+    """The oracle route of ``variant`` at every sample, conditioned as the
+    formula is: the coordinate the formula is given is pinned at the
+    perturbed point's value, so depth formulas get a depth-only search,
+    fixed-depth feedback formulas a feedback-only search, and unconditioned
+    formulas the joint search. Both perturbed points of every sample go to
+    the oracle as one batch; a sample is skipped when either of its points
+    is invalid or has no solution.
     """
     model, quantity, given = _VARIANTS[variant]
     steps = []
@@ -467,14 +456,6 @@ def _batched_oracle_outcomes(
             hi, lo = (_component(solution, quantity, grid) for solution in pair)
             outcomes.append(_difference(hi, lo, step[0], h))
     return outcomes
-
-
-def _searches_one_axis(variant: FormulaVariant) -> bool:
-    """Whether the variant's oracle searches one axis: a model without
-    feedback, or a pinned coordinate. A joint search fills a whole batch
-    block alone, so it goes through :func:`minimize_cost` one at a time."""
-    row = _VARIANTS[variant]
-    return row.given is not None or not row.model.uses_feedback
 
 
 @dataclass(frozen=True)
@@ -763,9 +744,8 @@ def audit_claims(
 
     Deterministic for fixed arguments: each sample gets its own spawned
     random substream, and aggregation order is fixed. Every sample is drawn
-    first; the claims then run one at a time, and a one-axis oracle route
-    (the baseline, or a pinned coordinate) solves all its samples as one
-    batch.
+    first; the claims then run one at a time, and a claim's oracle route
+    solves all its samples as one batch.
     """
     region = region if region is not None else default_region()
     grid = grid if grid is not None else DEFAULT_AUDIT_GRID
@@ -787,10 +767,7 @@ def audit_claims(
 
     for claim in registry:
         variant, parameter = claim.formula_variant, claim.parameter
-        if _searches_one_axis(variant):
-            oracle = _batched_oracle_outcomes(variant, parameter, points, oracle_h, g, grid)
-        else:
-            oracle = _outcomes(partial(_oracle_component, variant, g=g, grid=grid), parameter, points, oracle_h)
+        oracle = _oracle_outcomes(variant, parameter, points, oracle_h, g, grid)
         formula = _outcomes(partial(_formula_value, variant), parameter, points, formula_h)
 
         tally = counts[claim.id]
