@@ -1,10 +1,11 @@
 """Deterministic JSON output with 17-significant-digit floats, and the one
 reader for files a user names.
 
-The standard encoder's ``repr`` floats are already round-trippable, but
-their width varies; a fixed ``%.17g`` keeps every rerun byte-identical and
-still parses back to the exact same double. Only types our documents
-actually contain are supported — anything else is a bug worth raising on.
+The standard encoder's ``repr`` floats are already round-trippable and
+deterministic; ``%.17g`` is used instead so that JSON, the text rendering
+and CSV spell every float the same way, and it still parses back to the
+exact same double. Only types our documents actually contain are
+supported — anything else is a bug worth raising on.
 """
 
 from __future__ import annotations

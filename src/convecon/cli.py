@@ -180,28 +180,12 @@ def optimize(model_code, params_path, gain_target, want_integer, fmt, output):
                 if key != "model"
             }
             if want_integer:
-                entry["integer"] = _refine_with_retry(
-                    solution, efficiency, costs, gain_target
-                ).to_dict()
+                entry["integer"] = integer_refine(solution, efficiency, costs, gain_target).to_dict()
             entries.append(entry)
         doc = {"model": model.code, "gain_target": gain_target, "solutions": entries}
         _emit(doc, fmt, output)
 
     _fail_on_econ_errors(body)
-
-
-def _refine_with_retry(solution, efficiency, costs, gain_target):
-    """Integer refinement, widening the radius once if the first try fails.
-
-    The unit-radius neighborhood occasionally misses every feasible integer
-    point (rounding both counts down undershoots the gain floor, and the
-    ceilings sit just outside radius one); radius two has always contained
-    one in practice, so a single retry keeps the common case cheap.
-    """
-    try:
-        return integer_refine(solution, efficiency, costs, gain_target)
-    except Infeasible:
-        return integer_refine(solution, efficiency, costs, gain_target, radius=2)
 
 
 @main.command()
@@ -221,9 +205,7 @@ def oracle(model_code, params_path, gain_target, grid_path, want_integer, fmt, o
         grid = _grid_from_option(grid_path)
         solution = minimize_cost(model, efficiency, costs, gain_target, grid)
         if want_integer:
-            solution = solution.with_integer(
-                _refine_with_retry(solution, efficiency, costs, gain_target)
-            )
+            solution = solution.with_integer(integer_refine(solution, efficiency, costs, gain_target))
         _emit(solution.to_dict(), fmt, output)
 
     _fail_on_econ_errors(body)

@@ -317,45 +317,62 @@ def solve_model0(efficiency: EfficiencyParams, costs: CostParams, g: float) -> C
     )
 
 
-def _fixed_point(
-    depth_at,
-    feedback_at,
-    start_a: float,
-    *,
-    tol: float,
-    max_iter: int,
-    damping: float,
-):
-    """Damped Gauss-Seidel on the pair (feedback given depth, depth given feedback).
-
-    Returns ``(f, a, iterations, last_feedback_raw)``. Raises
-    :class:`Diverged` when the iteration cap is hit or the iterates stop
-    being finite.
-    """
-    if not 0.0 < damping <= 1.0:
-        raise DomainError("damping must be in (0, 1]")
-    a = start_a
-    f = 0.0
-    raw = 0.0
-    for iteration in range(1, max_iter + 1):
-        fb = feedback_at(a)
-        raw = fb.raw
-        f_next = f + damping * (fb.value - f)
-        a_next = a + damping * (depth_at(f_next) - a)
-        if not (math.isfinite(f_next) and math.isfinite(a_next)):
-            raise Diverged(f"fixed-point iterate left the finite range at step {iteration}")
-        step = max(abs(f_next - f), abs(a_next - a))
-        f, a = f_next, a_next
-        if step < tol:
-            return f, a, iteration, raw
-    raise Diverged(f"fixed point not reached after {max_iter} iterations")
-
-
 def _start_depth(efficiency: EfficiencyParams, costs: CostParams) -> float:
     try:
         return a0_star(efficiency, costs)
     except NoInteriorOptimum:
         return 1.0
+
+
+def _solve_coupled(
+    model: ModelKind,
+    source: SolutionSource,
+    depth: str,
+    feedback: str,
+    efficiency: EfficiencyParams,
+    costs: CostParams,
+    g: float,
+    *,
+    tol: float,
+    max_iter: int,
+    damping: float,
+) -> ClosedFormSolution:
+    """Joint strategy from a depth formula and a feedback formula that each
+    take the other's output, by damped Gauss-Seidel from the baseline depth.
+
+    ``depth`` and ``feedback`` name the formulas in this module; they are
+    looked up at call time, so a rebinding of the module attribute is seen.
+    Raises :class:`Diverged` when the iteration cap is hit or the iterates
+    stop being finite; the query count is recovered from the gain floor at
+    the end.
+    """
+    g = check_gain(g)
+    if not 0.0 < damping <= 1.0:
+        raise DomainError("damping must be in (0, 1]")
+    depth_at, feedback_at = globals()[depth], globals()[feedback]
+    a = _start_depth(efficiency, costs)
+    f = 0.0
+    for iteration in range(1, max_iter + 1):
+        fb = feedback_at(a, efficiency, costs)
+        f_next = f + damping * (fb.value - f)
+        a_next = a + damping * (depth_at(f_next, efficiency, costs) - a)
+        if not (math.isfinite(f_next) and math.isfinite(a_next)):
+            raise Diverged(f"fixed-point iterate left the finite range at step {iteration}")
+        step = max(abs(f_next - f), abs(a_next - a))
+        f, a = f_next, a_next
+        if step < tol:
+            break
+    else:
+        raise Diverged(f"fixed point not reached after {max_iter} iterations")
+    q = recover_q(g, f, a, model, efficiency)
+    corner = f == 0.0 and fb.raw < 0.0
+    return ClosedFormSolution(
+        strategy=Strategy(model, q=q, f=f, a=a),
+        source=source,
+        corner=corner,
+        iterations=iteration,
+        raw_f=fb.raw if corner else None,
+    )
 
 
 def model1_solve(
@@ -373,23 +390,9 @@ def model1_solve(
     other's output), so the pair is resolved as a damped fixed point and the
     query count is recovered from the gain floor at the end.
     """
-    g = check_gain(g)
-    f, a, iterations, raw = _fixed_point(
-        lambda fv: a1_star(fv, efficiency, costs),
-        lambda av: f1_star(av, efficiency, costs),
-        _start_depth(efficiency, costs),
-        tol=tol,
-        max_iter=max_iter,
-        damping=damping,
-    )
-    q = recover_q(g, f, a, ModelKind.FEEDBACK_FIRST, efficiency)
-    corner = f == 0.0 and raw < 0.0
-    return ClosedFormSolution(
-        strategy=Strategy(ModelKind.FEEDBACK_FIRST, q=q, f=f, a=a),
-        source=SolutionSource.MODEL1_COUPLED,
-        corner=corner,
-        iterations=iterations,
-        raw_f=raw if corner else None,
+    return _solve_coupled(
+        ModelKind.FEEDBACK_FIRST, SolutionSource.MODEL1_COUPLED, "a1_star", "f1_star",
+        efficiency, costs, g, tol=tol, max_iter=max_iter, damping=damping,
     )
 
 
@@ -454,24 +457,19 @@ def model2_solve_coupled(
     Same fixed-point scheme as :func:`model1_solve`, over
     :func:`f2_star_coupled` and :func:`a2_star_partial`.
     """
-    g = check_gain(g)
-    f, a, iterations, raw = _fixed_point(
-        lambda fv: a2_star_partial(fv, efficiency, costs),
-        lambda av: f2_star_coupled(av, efficiency, costs),
-        _start_depth(efficiency, costs),
-        tol=tol,
-        max_iter=max_iter,
-        damping=damping,
+    return _solve_coupled(
+        ModelKind.FEEDBACK_AFTER, SolutionSource.MODEL2_COUPLED, "a2_star_partial", "f2_star_coupled",
+        efficiency, costs, g, tol=tol, max_iter=max_iter, damping=damping,
     )
-    q = recover_q(g, f, a, ModelKind.FEEDBACK_AFTER, efficiency)
-    corner = f == 0.0 and raw < 0.0
-    return ClosedFormSolution(
-        strategy=Strategy(ModelKind.FEEDBACK_AFTER, q=q, f=f, a=a),
-        source=SolutionSource.MODEL2_COUPLED,
-        corner=corner,
-        iterations=iterations,
-        raw_f=raw if corner else None,
-    )
+
+
+# Each model's closed-form routes, by function name, in their stable order.
+# Looked up at call time, so a rebinding of the module attribute is seen.
+_ROUTES = {
+    ModelKind.BASELINE: ("solve_model0",),
+    ModelKind.FEEDBACK_FIRST: ("model1_solve",),
+    ModelKind.FEEDBACK_AFTER: ("solve_model2_partial", "solve_model2_full", "model2_solve_coupled"),
+}
 
 
 def solutions_for(
@@ -479,7 +477,6 @@ def solutions_for(
     efficiency: EfficiencyParams,
     costs: CostParams,
     g: float,
-    **iter_options,
 ) -> list[ClosedFormSolution]:
     """All closed-form routes that apply to ``model``, in a stable order.
 
@@ -489,23 +486,13 @@ def solutions_for(
     optimum is dropped from the list; if no variant survives, the first
     failure is re-raised.
     """
-    if model is ModelKind.BASELINE:
-        routes = [lambda: solve_model0(efficiency, costs, g)]
-    elif model is ModelKind.FEEDBACK_FIRST:
-        routes = [lambda: model1_solve(efficiency, costs, g, **iter_options)]
-    elif model is ModelKind.FEEDBACK_AFTER:
-        routes = [
-            lambda: solve_model2_partial(efficiency, costs, g),
-            lambda: solve_model2_full(efficiency, costs, g),
-            lambda: model2_solve_coupled(efficiency, costs, g, **iter_options),
-        ]
-    else:
+    if not isinstance(model, ModelKind):
         raise DomainError(f"unknown model {model!r}")
     solutions: list[ClosedFormSolution] = []
     first_failure: Optional[NoInteriorOptimum] = None
-    for route in routes:
+    for name in _ROUTES[model]:
         try:
-            solutions.append(route())
+            solutions.append(globals()[name](efficiency, costs, g))
         except NoInteriorOptimum as exc:
             if first_failure is None:
                 first_failure = exc

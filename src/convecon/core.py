@@ -305,8 +305,16 @@ def cost_value(model: ModelKind, q, f, a, costs: CostParams):
 
 
 def gain(strategy: Strategy, efficiency: EfficiencyParams) -> float:
-    """Expected gain of a strategy under the given elasticities."""
-    return float(gain_value(strategy.model, strategy.q, strategy.f, strategy.a, efficiency))
+    """Expected gain of a strategy under the given elasticities.
+
+    A gain too large for a float raises :class:`DomainError`.
+    """
+    try:
+        return float(gain_value(strategy.model, strategy.q, strategy.f, strategy.a, efficiency))
+    except OverflowError:
+        raise DomainError(
+            f"gain overflows a float at q={strategy.q}, f={strategy.f}, a={strategy.a}"
+        ) from None
 
 
 def cost(strategy: Strategy, costs: CostParams) -> float:

@@ -613,7 +613,8 @@ def integer_refine(
     rounded up and offered as an extra candidate, so a feasible point exists
     whenever the floor is attainable at all. Candidates must reach the gain
     floor (to within a 1e-12 relative slack for float rounding); ties on cost
-    go to the lexicographically smallest counts.
+    go to the lexicographically smallest counts. A candidate whose gain
+    overflows a float raises :class:`NoInteriorOptimum`.
     """
     g = check_gain(g)
     if isinstance(radius, bool) or int(radius) != radius or radius < 1:
@@ -643,7 +644,12 @@ def integer_refine(
                 options.add(max(1, math.ceil(q_exact)))
             for q in sorted(options):
                 candidate = Strategy(model, q=float(q), f=float(f), a=float(a))
-                achieved = gain(candidate, efficiency)
+                try:
+                    achieved = gain(candidate, efficiency)
+                except DomainError:
+                    raise NoInteriorOptimum(
+                        f"the gain of integer candidate (q={q}, f={f}, a={a}) overflows a float"
+                    ) from None
                 if achieved >= g * slack:
                     feasible.append((cost(candidate, costs), q, f, a, achieved))
     if not feasible:

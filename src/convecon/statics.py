@@ -47,7 +47,7 @@ from .core import (
     params_from_mapping,
     params_to_mapping,
 )
-from .errors import Diverged, DomainError, EconError, Infeasible, NoInteriorOptimum, Unbounded
+from .errors import DomainError, EconError
 from .oracle import GridSpec, OptimalStrategy, _minimize_batch, minimize_cost
 
 __all__ = [
@@ -80,6 +80,11 @@ SIGN_NEGATIVE = "-"
 SIGN_FLAT = "0"
 
 FLAT_THRESHOLD = 1e-9
+
+# Relative central-difference steps of the audit's two routes. The oracle's
+# is larger because grid quantisation drowns a 1e-4 step.
+FORMULA_H = 1e-4
+ORACLE_H = 0.05
 
 
 class Quantity(str, Enum):
@@ -335,7 +340,8 @@ def finite_diff_sign(
     :class:`DomainError`; domain errors from the perturbed evaluations
     propagate.
     """
-    return _diff_once(lambda point: (float(evaluator(point)), False), parameter, at, h)[0]
+    base, hi, lo = _perturbed(at, parameter, h)
+    return _difference((float(evaluator(hi)), False), (float(evaluator(lo)), False), base, h)[0]
 
 
 def _formula_value(variant: FormulaVariant, point: SamplePoint) -> tuple[float, bool]:
@@ -384,77 +390,70 @@ def _difference(
     return _sign_of(derivative), False
 
 
-def _diff_once(
-    value_fn: Callable[[SamplePoint], tuple[float, bool]],
-    parameter: str,
-    point: SamplePoint,
-    h: float,
-) -> tuple[str, bool]:
-    """(sign, censored) of one central difference on a (value, clamped) evaluator."""
-    base, hi, lo = _perturbed(point, parameter, h)
-    return _difference(value_fn(hi), value_fn(lo), base, h)
-
+# A route's values at a list of points: one (value, clamped) pair per point,
+# or None where the route cannot evaluate there.
+_Values = list[Optional[tuple[float, bool]]]
 
 # A route's outcome at one sample: (sign, censored), or None when it cannot
 # evaluate there.
 _Outcome = Optional[tuple[str, bool]]
 
 
-def _outcomes(
-    value_fn: Callable[[SamplePoint], tuple[float, bool]],
-    parameter: str,
-    points: Sequence[SamplePoint],
-    h: float,
-) -> list[_Outcome]:
-    """One central difference per sample, one sample at a time."""
-    outcomes: list[_Outcome] = []
+def _formula_values(variant: FormulaVariant, points: Sequence[SamplePoint]) -> _Values:
+    """The formula route: the variant's printed formula at every point."""
+    values: _Values = []
     for point in points:
         try:
-            outcomes.append(_diff_once(value_fn, parameter, point, h))
+            values.append(_formula_value(variant, point))
         except EconError:
-            outcomes.append(None)
-    return outcomes
+            values.append(None)
+    return values
 
 
-def _oracle_outcomes(
-    variant: FormulaVariant,
+def _oracle_values(
+    variant: FormulaVariant, points: Sequence[SamplePoint], *, g: float, grid: GridSpec,
+) -> _Values:
+    """The oracle route: the optimum the variant gives, conditioned as the
+    formula is, at every point, as one batch.
+
+    The coordinate the formula is given is pinned at the point's value, so
+    depth formulas get a depth-only search, fixed-depth feedback formulas a
+    feedback-only search, and unconditioned formulas the joint search. A
+    component at the grid floor counts as clamped.
+    """
+    model, quantity, given = _VARIANTS[variant]
+    instances = [(p.efficiency, p.costs, None if given is None else getattr(p, given)) for p in points]
+    solutions = _minimize_batch(model, instances, g, grid, pin=given)
+    return [None if isinstance(s, EconError) else _component(s, quantity, grid) for s in solutions]
+
+
+def _outcomes(
+    values_at: Callable[[Sequence[SamplePoint]], _Values],
     parameter: str,
     points: Sequence[SamplePoint],
     h: float,
-    g: float,
-    grid: GridSpec,
 ) -> list[_Outcome]:
-    """The oracle route of ``variant`` at every sample, conditioned as the
-    formula is: the coordinate the formula is given is pinned at the
-    perturbed point's value, so depth formulas get a depth-only search,
-    fixed-depth feedback formulas a feedback-only search, and unconditioned
-    formulas the joint search. Both perturbed points of every sample go to
-    the oracle as one batch; a sample is skipped when either of its points
-    is invalid or has no solution.
+    """One central difference per sample on one route.
+
+    Every sample is perturbed once (a sample without a valid step is
+    skipped), the route is called once with every perturbed point, and each
+    sample's pair of values becomes its outcome; a sample is skipped when
+    either of its values is missing.
     """
-    model, quantity, given = _VARIANTS[variant]
     steps = []
     for point in points:
         try:
             steps.append(_perturbed(point, parameter, h))
         except EconError:
             steps.append(None)
-    perturbed = [p for step in steps if step is not None for p in step[1:]]
-    solutions = iter(_minimize_batch(
-        model,
-        [(p.efficiency, p.costs, None if given is None else getattr(p, given)) for p in perturbed],
-        g,
-        grid,
-        pin=given,
-    ))
+    values = iter(values_at([p for step in steps if step is not None for p in step[1:]]))
     outcomes: list[_Outcome] = []
     for step in steps:
-        pair = None if step is None else (next(solutions), next(solutions))
-        if pair is None or any(isinstance(solution, EconError) for solution in pair):
+        pair = None if step is None else (next(values), next(values))
+        if pair is None or None in pair:
             outcomes.append(None)
         else:
-            hi, lo = (_component(solution, quantity, grid) for solution in pair)
-            outcomes.append(_difference(hi, lo, step[0], h))
+            outcomes.append(_difference(*pair, step[0], h))
     return outcomes
 
 
@@ -690,37 +689,36 @@ def _formula_components(
 
 def _collect_agreement(
     tallies: dict[str, _AgreementTally],
-    point: SamplePoint,
+    points: Sequence[SamplePoint],
     g: float,
     grid: GridSpec,
 ) -> None:
-    """Score one sample on every agreement row.
+    """Score every sample on every agreement row.
 
-    A model's rows are all skipped when its joint oracle has no optimum or
-    puts feedback at the grid floor; a row alone is skipped when its formula
-    raises or is clamped.
+    Each feedback model's joint oracle solves all samples as one batch. A
+    model's rows are all skipped at a sample where its joint oracle has no
+    optimum or puts feedback at the grid floor; a row alone is skipped when
+    its formula raises or is clamped.
     """
     for model, rows in _AGREEMENT_SECTIONS:
-        try:
-            joint = minimize_cost(model, point.efficiency, point.costs, g, grid)
-        except EconError:
-            joint = None
-        if joint is None or "f" in joint.grid_meta.lower_corner_axes:
-            for name, _ in rows:
-                tallies[name].skip()
-            continue
-        oracle = joint.strategy
-        at = replace(point, f=oracle.f, a=oracle.a)
-        for name, source in rows:
-            try:
-                formula = _formula_components(source, at, g)
-            except EconError:
-                formula = None
-            if formula is None:
-                tallies[name].skip()
-            else:
-                oracle_values = tuple(getattr(oracle, axis) for axis in formula)
-                tallies[name].add(tuple(formula.values()), oracle_values)
+        joints = _minimize_batch(model, [(p.efficiency, p.costs, None) for p in points], g, grid)
+        for point, joint in zip(points, joints):
+            if isinstance(joint, EconError) or "f" in joint.grid_meta.lower_corner_axes:
+                for name, _ in rows:
+                    tallies[name].skip()
+                continue
+            oracle = joint.strategy
+            at = replace(point, f=oracle.f, a=oracle.a)
+            for name, source in rows:
+                try:
+                    formula = _formula_components(source, at, g)
+                except EconError:
+                    formula = None
+                if formula is None:
+                    tallies[name].skip()
+                else:
+                    oracle_values = tuple(getattr(oracle, axis) for axis in formula)
+                    tallies[name].add(tuple(formula.values()), oracle_values)
 
 
 def audit_claims(
@@ -729,8 +727,6 @@ def audit_claims(
     seed: int = 0,
     g: float = 100.0,
     grid: Optional[GridSpec] = None,
-    formula_h: float = 1e-4,
-    oracle_h: float = 0.05,
 ) -> ClaimAuditReport:
     """Audit every registry claim over log-uniform samples from ``region``.
 
@@ -739,13 +735,13 @@ def audit_claims(
     counted as skipped for that route; samples where the quantity is clamped
     at zero on either side of the perturbation, or the derivative magnitude
     is below 1e-9, count as flat and leave the denominator. The oracle route
-    uses a larger relative step (default 0.05) because grid quantisation
-    drowns the 1e-4 step the formulas use.
+    uses a larger relative step (``ORACLE_H``) than the formulas
+    (``FORMULA_H``) because grid quantisation drowns the formulas' step.
 
     Deterministic for fixed arguments: each sample gets its own spawned
     random substream, and aggregation order is fixed. Every sample is drawn
-    first; the claims then run one at a time, and a claim's oracle route
-    solves all its samples as one batch.
+    first; the claims then run one at a time, and each route evaluates all
+    of a claim's perturbed samples in one call.
     """
     region = region if region is not None else default_region()
     grid = grid if grid is not None else DEFAULT_AUDIT_GRID
@@ -754,10 +750,14 @@ def audit_claims(
         raise DomainError("samples must be an integer >= 1")
     samples = int(samples)
 
+    # One row per route: (name, relative step, values at a variant's points).
+    routes = (
+        ("formula", FORMULA_H, _formula_values),
+        ("oracle", ORACLE_H, partial(_oracle_values, g=g, grid=grid)),
+    )
     registry = claim_registry()
-    routes = ("formula", "oracle")
     # Keyed by ClaimAudit's field names: n_, holds_, flat_, skipped_ per route.
-    stats = [f"{stat}_{route}" for route in routes for stat in ("n", "holds", "flat", "skipped")]
+    stats = [f"{stat}_{route}" for route, _, _ in routes for stat in ("n", "holds", "flat", "skipped")]
     counts = {claim.id: dict.fromkeys(stats, 0) for claim in registry}
     counterexamples: dict[str, list[dict]] = {claim.id: [] for claim in registry}
     tallies = {name: _AgreementTally() for _, rows in _AGREEMENT_SECTIONS for name, _ in rows}
@@ -766,15 +766,11 @@ def audit_claims(
     points = [_draw_point(np.random.default_rng(stream), region) for stream in streams]
 
     for claim in registry:
-        variant, parameter = claim.formula_variant, claim.parameter
-        oracle = _oracle_outcomes(variant, parameter, points, oracle_h, g, grid)
-        formula = _outcomes(partial(_formula_value, variant), parameter, points, formula_h)
-
         tally = counts[claim.id]
         signs: dict[str, list[Optional[str]]] = {}
-        for route, outcomes in zip(routes, (formula, oracle)):
+        for route, h, values_at in routes:
             signs[route] = []
-            for outcome in outcomes:
+            for outcome in _outcomes(partial(values_at, claim.formula_variant), claim.parameter, points, h):
                 sign: Optional[str] = None
                 if outcome is None:
                     tally[f"skipped_{route}"] += 1
@@ -802,8 +798,7 @@ def audit_claims(
                     "oracle_sign": oracle_sign,
                 })
 
-    for point in points:
-        _collect_agreement(tallies, point, g, grid)
+    _collect_agreement(tallies, points, g, grid)
 
     rows = tuple(
         ClaimAudit(
@@ -820,8 +815,8 @@ def audit_claims(
         "g": g,
         "region": region.to_dict(),
         "grid": grid.to_dict(),
-        "formula_h": formula_h,
-        "oracle_h": oracle_h,
+        "formula_h": FORMULA_H,
+        "oracle_h": ORACLE_H,
         "agreement_tolerance": AGREEMENT_TOLERANCE,
         "agreement_threshold": AGREEMENT_THRESHOLD,
     }
@@ -861,18 +856,18 @@ _DEFAULT_TARGETS = {
 }
 
 
-def _sweep_targets(model: ModelKind, point_eff: EfficiencyParams, point_costs: CostParams,
+def _sweep_targets(point_eff: EfficiencyParams, point_costs: CostParams,
                    g: float, targets: Sequence[str]) -> dict[str, float]:
+    """Every closed-form column in ``targets``, for any model."""
     values: dict[str, float] = {}
-    if model is ModelKind.FEEDBACK_FIRST and ("m1_f_star" in targets or "m1_a_star" in targets):
-        pair = cf.model1_solve(point_eff, point_costs, g)
-        values["m1_f_star"] = pair.strategy.f
-        values["m1_a_star"] = pair.strategy.a
     level: Optional[float] = None  # f2_star, computed once for the m2 targets
     for name in targets:
         if name in values:
             continue
-        if name == "a0_star":
+        if name in ("m1_f_star", "m1_a_star"):
+            pair = cf.model1_solve(point_eff, point_costs, g).strategy
+            values["m1_f_star"], values["m1_a_star"] = pair.f, pair.a
+        elif name == "a0_star":
             values[name] = cf.a0_star(point_eff, point_costs)
         elif name in ("f2_star", "a2_star_partial", "a2_star_full"):
             if level is None:
@@ -884,7 +879,7 @@ def _sweep_targets(model: ModelKind, point_eff: EfficiencyParams, point_costs: C
             else:
                 values[name] = cf.a2_star_full(level, point_eff, point_costs).value
         else:
-            raise DomainError(f"unknown sweep target {name!r} for model {model.code}")
+            raise DomainError(f"unknown sweep target {name!r}")
     return values
 
 
@@ -927,7 +922,7 @@ def sweep(
         value = float(value)
         point = base_point.with_param(vary, value)
         eff, cost_params = point.efficiency, point.costs
-        row_values = _sweep_targets(model, eff, cost_params, g, target_names)
+        row_values = _sweep_targets(eff, cost_params, g, target_names)
         solution = minimize_cost(model, eff, cost_params, g, grid)
         row = (value,) + tuple(row_values[name] for name in target_names) + (
             solution.strategy.f,

@@ -1,12 +1,15 @@
 """End-to-end command-line behaviour through click's test runner."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from convecon._jsonio import format_float
 from convecon.cli import main
+from convecon.closed_form import model1_solve
+from convecon.core import load_params
 
 
 @pytest.fixture
@@ -173,6 +176,19 @@ class TestOracle:
         assert result.exit_code == 3
         assert "no finite cost" in result.stderr
 
+    def test_overflowing_integer_candidate_exits_three(self, runner, params_file):
+        # The optimum is q ~ 1.016, f ~ 5014; the integer candidate q = 2
+        # raises q to a power over 1000, which overflows a float.
+        steep = params_file(
+            "steep.json", alpha=0.8716648111547015, beta=0.39182507097828484,
+            gamma1=0.21636730541808963, gamma2=0.48983090551237896, c_query=429.0530275749106,
+            c_feedback=0.001366804416105897, c_assess=0.00511247694924416,
+        )
+        result = _run(runner, ["oracle", "--model", "m1", "--params", steep, "--gain", "1e8", "--integer"])
+        assert result.exit_code == 3
+        assert "overflows a float" in result.stderr
+        assert not isinstance(result.exception, OverflowError)
+
     def test_bad_grid_file_is_invalid_input(self, runner, params_file, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"points": 64, "zoom": 3}))
@@ -274,6 +290,21 @@ class TestSweep:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "gamma2,f2_star,oracle_f,oracle_a,total_cost,achieved_gain"
 
+    def test_any_model_takes_every_closed_form_column(self, runner, params_file, grid_file):
+        path = params_file()
+        result = _run(runner, [
+            "sweep", "--model", "m0", "--params", path, "--vary", "c_query",
+            "--lo", "5", "--hi", "20", "--steps", "3", "--gain", "100",
+            "--grid", grid_file, "--targets", "m1_f_star,m1_a_star", "--format", "json",
+        ])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["columns"][:3] == ["c_query", "m1_f_star", "m1_a_star"]
+        efficiency, costs = load_params(path)
+        for row in doc["rows"]:
+            pair = model1_solve(efficiency, replace(costs, c_query=row[0]), 100.0).strategy
+            assert row[1:3] == [pair.f, pair.a]
+
     def test_unknown_target_is_invalid_input(self, runner, params_file, grid_file):
         result = _run(runner, [
             "sweep", "--model", "m0", "--params", params_file(), "--vary", "c_query",
@@ -357,6 +388,14 @@ class TestSimulateAndFit:
         result = _run(runner, ["fit", "--logs", out, "--kind", "gain", "--model", "m1"])
         assert result.exit_code == 2
         assert "logs are m0, not m1" in result.stderr
+
+    def test_simulate_overflowing_gain_exits_two(self, runner, params_file):
+        result = _run(runner, [
+            "simulate", "--model", "m1", "--params", params_file(), "--q", "2", "--f", "6000", "--a", "1",
+        ])
+        assert result.exit_code == 2
+        assert "gain overflows a float at q=2.0, f=6000.0, a=1.0" in result.stderr
+        assert not isinstance(result.exception, OverflowError)
 
     def test_simulate_rejects_zero_queries(self, runner, params_file):
         result = _run(runner, [

@@ -32,6 +32,7 @@ from convecon import (
     model1_solve,
     recover_q,
     solve_model0,
+    solutions_for,
 )
 from convecon.closed_form import recover_q_value
 from convecon.core import cost_value, gain_value
@@ -422,6 +423,41 @@ class TestIntegerRefine:
         costs = CostParams(1.0, 1.0, 1.0)
         with pytest.raises(Infeasible, match="no integer strategy within radius"):
             integer_refine(Strategy(M0, 1.0, 0.0, 1.0), efficiency, costs, 1e308)
+
+    def test_unit_radius_always_feasible_near_solutions(self, light_grid):
+        # At radius 1 the candidate (ceil q_exact, ceil f, ceil a) meets the
+        # floor: q falls as f and a rise, so q_exact is no larger than the
+        # solution's finite q (or below 1). So oracle and closed-form
+        # solutions over a wide region and gains from 1e-3 to 1e150 never
+        # come out Infeasible; an overflowing candidate gain is
+        # NoInteriorOptimum.
+        rng = np.random.default_rng(8)
+
+        def draw(lo, hi):
+            return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+        refined = 0
+        for _ in range(400):
+            efficiency = EfficiencyParams(draw(0.3, 1.0), draw(0.05, 1.0), draw(0.02, 0.4), draw(0.1, 1.0))
+            costs = CostParams(draw(1e-3, 1e3), draw(1e-3, 1e3), draw(1e-3, 1e3))
+            g = draw(1e-3, 1e150)
+            for model in ModelKind:
+                solutions = []
+                for solve in (
+                    lambda: [minimize_cost(model, efficiency, costs, g, light_grid)],
+                    lambda: solutions_for(model, efficiency, costs, g),
+                ):
+                    try:
+                        solutions += solve()
+                    except EconError:
+                        pass
+                for solution in solutions:
+                    try:
+                        integer_refine(solution, efficiency, costs, g)
+                    except NoInteriorOptimum:
+                        continue
+                    refined += 1
+        assert refined > 1500
 
     @pytest.mark.parametrize("radius", [0, -1, 1.5, True])
     def test_rejects_bad_radius(self, std_efficiency, std_costs, radius):
