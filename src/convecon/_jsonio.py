@@ -1,5 +1,6 @@
-"""Deterministic JSON output with 17-significant-digit floats, and the one
-reader for files a user names.
+"""Deterministic JSON output with 17-significant-digit floats, the one
+reader for files a user names, and the one key check for the JSON objects
+in them (value rules live in :mod:`convecon.core`).
 
 The standard encoder's ``repr`` floats are already round-trippable and
 deterministic; ``%.17g`` is used instead so that JSON, the text rendering
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -41,6 +43,29 @@ def load_json_file(path: Union[str, Path], what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{Path(path)}: not valid JSON ({exc.msg} at line {exc.lineno})") from None
+
+
+def check_keys(data, required: Sequence[str], optional: Sequence[str] = (), *,
+               source: str, noun: str = "field(s)") -> None:
+    """Require a JSON object with every ``required`` key and no key outside
+    ``required`` + ``optional``; the values are left to the value objects."""
+    if not isinstance(data, Mapping):
+        raise DomainError(f"{source}: expected a JSON object")
+    unknown = sorted(set(data) - set(required) - set(optional))
+    if unknown:
+        raise DomainError(f"{source}: unknown {noun}: {', '.join(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise DomainError(f"{source}: missing {noun}: {', '.join(missing)}")
+
+
+@contextmanager
+def named(source: str):
+    """Prefix a :class:`DomainError` raised in the block with ``source``."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"{source}: {exc}") from None
 
 
 def format_float(value: float) -> str:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import click
 
-from . import __version__, closed_form, statics
+from . import __version__, closed_form
 from ._jsonio import dumps, format_float, load_json_file
 from .core import PARAM_FIELDS, ModelKind, Strategy, load_params
 from .errors import (
@@ -234,10 +234,8 @@ def audit(region_path, samples, seed, gain_target, grid_path, output):
             region = ParameterRegion.from_mapping(
                 load_json_file(region_path, "region"), source=region_path
             )
-        grid = _grid_from_option(grid_path)
         report = audit_claims(
-            region=region, samples=samples, seed=seed, g=gain_target,
-            grid=grid if grid is not None else statics.DEFAULT_AUDIT_GRID,
+            region=region, samples=samples, seed=seed, g=gain_target, grid=_grid_from_option(grid_path),
         )
         Path(output).write_text(dumps(report.to_dict(), indent=2) + "\n")
         click.echo(report.to_text(), nl=False)

@@ -42,12 +42,13 @@ oracle module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple, Union
 
-from ._jsonio import load_json_file
+from ._jsonio import check_keys, load_json_file, named
 from .errors import DomainError
 
 __all__ = [
@@ -132,14 +133,28 @@ def _assessments(row: _ModelRow, q, f, a):
     return q * (1.0 + f) * a if row.repeat else q * a
 
 
-def _require_finite(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+def _require_finite(name: str, value) -> float:
+    """The number rule for every value a user gives: a real number (not a
+    bool or a string) that is finite as a float; returns that float."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DomainError(f"{name} must be finite") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite")
     return value
+
+
+def _require_count(name: str, value, minimum: int) -> int:
+    """The count rule: a number (see :func:`_require_finite`) that is a
+    whole number >= ``minimum``; returns it as an int."""
+    number = _require_finite(name, value)
+    if not number.is_integer() or number < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -340,22 +355,10 @@ def params_from_mapping(data: Mapping[str, object], *, source: str = "params") -
     """Build validated parameters from a plain mapping with exactly the
     seven canonical keys. Unknown and missing keys are both rejected so a
     typo cannot silently fall back to a default."""
-    if not isinstance(data, Mapping):
-        raise DomainError(f"{source}: expected a JSON object")
-    unknown = sorted(set(data) - set(PARAM_FIELDS))
-    if unknown:
-        raise DomainError(f"{source}: unknown field(s): {', '.join(unknown)}")
-    missing = [k for k in PARAM_FIELDS if k not in data]
-    if missing:
-        raise DomainError(f"{source}: missing field(s): {', '.join(missing)}")
-    values = {}
-    for key in PARAM_FIELDS:
-        raw = data[key]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise DomainError(f"{source}: {key} must be a number, got {raw!r}")
-        values[key] = float(raw)
-    efficiency = EfficiencyParams(**{k: values[k] for k in _EFFICIENCY_FIELDS})
-    costs = CostParams(**{k: values[k] for k in _COST_FIELDS})
+    check_keys(data, PARAM_FIELDS, source=source)
+    with named(source):
+        efficiency = EfficiencyParams(**{k: data[k] for k in _EFFICIENCY_FIELDS})
+        costs = CostParams(**{k: data[k] for k in _COST_FIELDS})
     return ValidatedParams(efficiency, costs)
 
 

@@ -43,6 +43,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from ._jsonio import check_keys, named
 from .closed_form import ClosedFormSolution, recover_q_value
 from .core import (
     CostParams,
@@ -51,6 +52,8 @@ from .core import (
     Strategy,
     _model_row,
     _query_exponent,
+    _require_count,
+    _require_finite,
     check_gain,
     cost,
     cost_value,
@@ -90,36 +93,20 @@ class GridSpec:
     refinements: int = 3
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise DomainError("grid bounds must be finite")
-        if not 0.0 < self.min < self.max:
+        lo = _require_finite("grid min", self.min)
+        hi = _require_finite("grid max", self.max)
+        if not 0.0 < lo < hi:
             raise DomainError("grid requires 0 < min < max")
-        if isinstance(self.points, bool) or int(self.points) != self.points or self.points < 2:
-            raise DomainError("grid points must be an integer >= 2")
-        if (
-            isinstance(self.refinements, bool)
-            or int(self.refinements) != self.refinements
-            or self.refinements < 0
-        ):
-            raise DomainError("grid refinements must be an integer >= 0")
-        object.__setattr__(self, "points", int(self.points))
-        object.__setattr__(self, "refinements", int(self.refinements))
+        object.__setattr__(self, "min", lo)
+        object.__setattr__(self, "max", hi)
+        object.__setattr__(self, "points", _require_count("grid points", self.points, 2))
+        object.__setattr__(self, "refinements", _require_count("grid refinements", self.refinements, 0))
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object], *, source: str = "grid") -> "GridSpec":
-        if not isinstance(data, Mapping):
-            raise DomainError(f"{source}: expected a JSON object")
-        unknown = sorted(set(data) - set(_GRID_FIELDS))
-        if unknown:
-            raise DomainError(f"{source}: unknown field(s): {', '.join(unknown)}")
-        kwargs = {}
-        for key in _GRID_FIELDS:
-            if key in data:
-                value = data[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise DomainError(f"{source}: {key} must be a number, got {value!r}")
-                kwargs[key] = value
-        return cls(**kwargs)
+        check_keys(data, (), _GRID_FIELDS, source=source)
+        with named(source):
+            return cls(**data)
 
     def to_dict(self) -> dict:
         return {
@@ -617,9 +604,7 @@ def integer_refine(
     overflows a float raises :class:`NoInteriorOptimum`.
     """
     g = check_gain(g)
-    if isinstance(radius, bool) or int(radius) != radius or radius < 1:
-        raise DomainError("radius must be an integer >= 1")
-    radius = int(radius)
+    radius = _require_count("radius", radius, 1)
     base = getattr(solution, "strategy", solution)
     if not isinstance(base, Strategy):
         raise DomainError("solution must carry a Strategy")

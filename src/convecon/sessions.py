@@ -20,7 +20,7 @@ from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ._jsonio import read_user_file
+from ._jsonio import check_keys, named, read_user_file
 from .core import (
     CostParams,
     EfficiencyParams,
@@ -29,6 +29,8 @@ from .core import (
     _assessments,
     _model_row,
     _ModelRow,
+    _require_count,
+    _require_finite,
     check_gain,
     cost,
     gain,
@@ -105,14 +107,13 @@ class SessionLog:
     @classmethod
     def from_dict(cls, data: Mapping[str, object], *, source: str = "session") -> "SessionLog":
         required = ("session_id", "model", "q", "f", "a", "realized_gain", "realized_cost", "actions")
-        missing = [k for k in required if k not in data]
-        if missing:
-            raise DomainError(f"{source}: missing field(s): {', '.join(missing)}")
-        unknown = sorted(set(data) - set(required))
-        if unknown:
-            raise DomainError(f"{source}: unknown field(s): {', '.join(unknown)}")
-        model = ModelKind.from_code(str(data["model"]))
-        strategy = Strategy(model, float(data["q"]), float(data["f"]), float(data["a"]))
+        check_keys(data, required, source=source)
+        with named(source):
+            model = ModelKind.from_code(str(data["model"]))
+            strategy = Strategy(model, data["q"], data["f"], data["a"])
+            session_id = _require_count("session_id", data["session_id"], 0)
+            realized_gain = _require_finite("realized_gain", data["realized_gain"])
+            realized_cost = _require_finite("realized_cost", data["realized_cost"])
         raw_actions = data["actions"]
         if not isinstance(raw_actions, Sequence) or isinstance(raw_actions, (str, bytes)):
             raise DomainError(f"{source}: actions must be a list")
@@ -121,16 +122,9 @@ class SessionLog:
             try:
                 kind = ActionKind(str(entry["kind"]))
                 actions.append(SessionAction(int(entry["step"]), kind, float(entry["unit_cost"])))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DomainError(f"{source}: bad action entry ({exc})") from None
-        return cls(
-            session_id=int(data["session_id"]),
-            model=model,
-            strategy=strategy,
-            actions=tuple(actions),
-            realized_gain=float(data["realized_gain"]),
-            realized_cost=float(data["realized_cost"]),
-        )
+        return cls(session_id, model, strategy, tuple(actions), realized_gain, realized_cost)
 
 
 def _unrolled_actions(strategy: Strategy, costs: CostParams) -> tuple[SessionAction, ...]:
@@ -177,11 +171,10 @@ def simulate(
         raise DomainError("simulate requires an integer strategy (whole q, f, a)")
     if strategy.q < 1 or strategy.a < 1:
         raise DomainError("simulate requires q >= 1 and a >= 1")
-    if not math.isfinite(sigma) or sigma < 0.0:
+    sigma = _require_finite("sigma", sigma)
+    if sigma < 0.0:
         raise DomainError("sigma must be >= 0")
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError("n must be an integer >= 1")
-    n = int(n)
+    n = _require_count("n", n, 1)
 
     actions = _unrolled_actions(strategy, costs)
     base_gain = gain(strategy, efficiency)

@@ -28,7 +28,6 @@ that row.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -38,11 +37,14 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import closed_form as cf
+from ._jsonio import check_keys, format_float, named
 from .core import (
     PARAM_FIELDS,
     CostParams,
     EfficiencyParams,
     ModelKind,
+    _require_count,
+    _require_finite,
     check_gain,
     params_from_mapping,
     params_to_mapping,
@@ -224,24 +226,20 @@ class ParameterRegion:
         if names != list(AXIS_ORDER):
             raise DomainError(f"region must define exactly the axes {', '.join(AXIS_ORDER)} in order")
         caps = {"alpha": 1.0, "beta": 1.0, "gamma2": 1.0}
+        bounds = []
         for name, lo, hi in self.bounds:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise DomainError(f"region axis {name}: bounds must be finite")
+            lo = _require_finite(f"region axis {name} lo", lo)
+            hi = _require_finite(f"region axis {name} hi", hi)
             if not 0.0 < lo < hi:
                 raise DomainError(f"region axis {name}: requires 0 < lo < hi (log-uniform sampling)")
             if name in caps and hi > caps[name]:
                 raise DomainError(f"region axis {name}: upper bound must be <= {caps[name]}")
+            bounds.append((name, lo, hi))
+        object.__setattr__(self, "bounds", tuple(bounds))
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object], *, source: str = "region") -> "ParameterRegion":
-        if not isinstance(data, Mapping):
-            raise DomainError(f"{source}: expected a JSON object")
-        unknown = sorted(set(data) - set(AXIS_ORDER))
-        if unknown:
-            raise DomainError(f"{source}: unknown axis(es): {', '.join(unknown)}")
-        missing = [k for k in AXIS_ORDER if k not in data]
-        if missing:
-            raise DomainError(f"{source}: missing axis(es): {', '.join(missing)}")
+        check_keys(data, AXIS_ORDER, source=source, noun="axis(es)")
         bounds = []
         for name in AXIS_ORDER:
             pair = data[name]
@@ -251,8 +249,9 @@ class ParameterRegion:
             for v in (lo, hi):
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise DomainError(f"{source}: axis {name} bounds must be numbers")
-            bounds.append((name, float(lo), float(hi)))
-        return cls(bounds=tuple(bounds))
+            bounds.append((name, lo, hi))
+        with named(source):
+            return cls(bounds=tuple(bounds))
 
     def bounds_of(self, name: str) -> tuple[float, float]:
         for axis, lo, hi in self.bounds:
@@ -746,9 +745,7 @@ def audit_claims(
     region = region if region is not None else default_region()
     grid = grid if grid is not None else DEFAULT_AUDIT_GRID
     g = check_gain(g)
-    if isinstance(samples, bool) or int(samples) != samples or samples < 1:
-        raise DomainError("samples must be an integer >= 1")
-    samples = int(samples)
+    samples = _require_count("samples", samples, 1)
 
     # One row per route: (name, relative step, values at a variant's points).
     routes = (
@@ -840,12 +837,9 @@ class SweepTable:
         return [row[index] for row in self.rows]
 
     def to_csv(self) -> str:
-        def fmt(x: float) -> str:
-            return "%.17g" % x
-
         lines = [",".join(self.columns)]
         for row in self.rows:
-            lines.append(",".join(fmt(v) for v in row))
+            lines.append(",".join(format_float(v) for v in row))
         return "\n".join(lines) + "\n"
 
 
@@ -906,12 +900,11 @@ def sweep(
         model = ModelKind.from_code(model)
     if vary not in PARAM_FIELDS:
         raise DomainError(f"vary must be one of {', '.join(PARAM_FIELDS)}")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+    lo, hi = _require_finite("lo", lo), _require_finite("hi", hi)
+    if not lo < hi:
         raise DomainError("sweep requires finite lo < hi")
-    if isinstance(steps, bool) or int(steps) != steps or steps < 2:
-        raise DomainError("steps must be an integer >= 2")
+    steps = _require_count("steps", steps, 2)
     g = check_gain(g)
-    steps = int(steps)
     grid = grid if grid is not None else GridSpec()
     target_names = tuple(targets) if targets is not None else _DEFAULT_TARGETS[model]
 

@@ -455,6 +455,78 @@ def test_unreadable_file_is_invalid_input(runner, params_file, tmp_path, option,
 
 
 # ---------------------------------------------------------------------------
+# malformed values in the files a user names
+
+
+def _assert_invalid_input(result, *named):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    for text in named:
+        assert text in result.stderr
+
+
+@pytest.mark.parametrize("grid_text", ['{"points": 1e400}', '{"points": NaN}', '{"refinements": 1e400}'])
+@pytest.mark.parametrize("command", ["oracle", "audit"])
+def test_non_finite_grid_count_is_invalid_input(runner, params_file, tmp_path, grid_text, command):
+    grid = tmp_path / "grid.json"
+    grid.write_text(grid_text)
+    args = {
+        "oracle": ["oracle", "--model", "m0", "--params", params_file(), "--gain", "100"],
+        "audit": ["audit", "--samples", "1", "--output", tmp_path / "audit.json"],
+    }[command]
+    result = _run(runner, args + ["--grid", grid])
+    _assert_invalid_input(result, f"{grid}: grid ", "must be finite")
+
+
+def _record_lines(params_path):
+    """Three m0 sessions at distinct (q, a): enough design for either fit."""
+    from convecon.core import ModelKind, Strategy
+    from convecon.sessions import simulate
+
+    efficiency, costs = load_params(params_path)
+    return [
+        json.dumps(simulate(Strategy(ModelKind.BASELINE, q, 0, a), efficiency, costs)[0].to_dict())
+        for q, a in ((2, 3), (4, 2), (5, 7))
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("both", None, 123),
+        ("both", None, None),
+        ("both", "q", "abc"),
+        ("both", "q", None),
+        ("both", "session_id", "x"),
+        ("cost", "realized_cost", float("nan")),
+        ("gain", "realized_gain", float("inf")),
+        ("both", "session_id", 1.5),
+        ("both", "q", True),
+    ],
+)
+def test_malformed_log_record_is_invalid_input(runner, params_file, tmp_path, kind, field, value):
+    lines = _record_lines(params_file())
+    record = json.loads(lines[2])
+    if field is None:
+        record = value
+    else:
+        record[field] = value
+    lines[2] = json.dumps(record)
+    logs = tmp_path / "logs.jsonl"
+    logs.write_text("\n".join(lines) + "\n")
+    result = _run(runner, ["fit", "--logs", logs, "--kind", kind])
+    _assert_invalid_input(result, f"{logs}:3: ")
+
+
+def test_simulate_query_count_too_large_for_a_float_is_invalid_input(runner, params_file):
+    result = _run(runner, [
+        "simulate", "--model", "m0", "--params", params_file(), "--q", "1" + "0" * 400, "--a", "1",
+    ])
+    _assert_invalid_input(result, "q must be finite")
+
+
+# ---------------------------------------------------------------------------
 # group-level behaviour
 
 
