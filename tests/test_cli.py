@@ -9,7 +9,8 @@ from click.testing import CliRunner
 from convecon._jsonio import format_float
 from convecon.cli import main
 from convecon.closed_form import model1_solve
-from convecon.core import load_params
+from convecon.core import ModelKind, Strategy, load_params
+from convecon.sessions import simulate
 
 
 @pytest.fixture
@@ -481,9 +482,6 @@ def test_non_finite_grid_count_is_invalid_input(runner, params_file, tmp_path, g
 
 def _record_lines(params_path):
     """Three m0 sessions at distinct (q, a): enough design for either fit."""
-    from convecon.core import ModelKind, Strategy
-    from convecon.sessions import simulate
-
     efficiency, costs = load_params(params_path)
     return [
         json.dumps(simulate(Strategy(ModelKind.BASELINE, q, 0, a), efficiency, costs)[0].to_dict())
