@@ -70,7 +70,6 @@ from .sessions import (
     SessionLog,
     fit_cost_params,
     fit_gain_params,
-    prorate_gain,
     read_jsonl,
     simulate,
     viability,
@@ -116,7 +115,7 @@ __all__ = [
     "ParameterRegion", "default_region", "SamplePoint", "finite_diff_sign",
     "SweepTable", "sweep", "ClaimAuditReport", "audit_claims",
     # sessions
-    "ActionKind", "SessionAction", "SessionLog", "simulate", "prorate_gain",
+    "ActionKind", "SessionAction", "SessionLog", "simulate",
     "EstimationResult", "fit_gain_params", "fit_cost_params",
     "write_jsonl", "read_jsonl", "Recommendation", "viability",
 ]

@@ -44,7 +44,6 @@ __all__ = [
     "SessionAction",
     "SessionLog",
     "simulate",
-    "prorate_gain",
     "EstimationResult",
     "fit_gain_params",
     "fit_cost_params",
@@ -69,62 +68,66 @@ class SessionAction:
     kind: ActionKind
     unit_cost: float
 
-    def to_dict(self) -> dict:
-        return {"step": self.step, "kind": self.kind.value, "unit_cost": self.unit_cost}
+
+_SCHEMA = 2  # version of the JSONL session record; the reader refuses any other
 
 
 @dataclass(frozen=True)
 class SessionLog:
-    """One simulated session: the strategy, its action trace, and outcomes.
+    """One simulated session: the strategy, its prices, and outcomes.
 
     ``realized_cost`` is deterministic bookkeeping (it equals the strategy's
     cost formula; the per-action unit costs sum to the same number).
     ``realized_gain`` carries the session's single log-normal shock.
     ``stream_id`` records which seed-derived substream produced the shock;
-    it is runtime bookkeeping and is not serialized.
+    it is runtime bookkeeping and is not serialized. The action trace is
+    never stored: :attr:`actions` unrolls it from the counts and prices.
     """
 
     session_id: int
     model: ModelKind
     strategy: Strategy
-    actions: tuple[SessionAction, ...]
+    costs: CostParams
     realized_gain: float
     realized_cost: float
     stream_id: Optional[int] = None
 
+    @property
+    def actions(self) -> tuple[SessionAction, ...]:
+        """The action trace, unrolled from the counts and prices on each access."""
+        return _unrolled_actions(self.strategy, self.costs)
+
     def to_dict(self) -> dict:
         return {
+            "schema": _SCHEMA,
             "session_id": self.session_id,
             "model": self.model.code,
             "q": self.strategy.q,
             "f": self.strategy.f,
             "a": self.strategy.a,
+            "c_query": self.costs.c_query,
+            "c_feedback": self.costs.c_feedback,
+            "c_assess": self.costs.c_assess,
             "realized_gain": self.realized_gain,
             "realized_cost": self.realized_cost,
-            "actions": [action.to_dict() for action in self.actions],
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object], *, source: str = "session") -> "SessionLog":
-        required = ("session_id", "model", "q", "f", "a", "realized_gain", "realized_cost", "actions")
+        required = ("schema", "session_id", "model", "q", "f", "a",
+                    "c_query", "c_feedback", "c_assess", "realized_gain", "realized_cost")
         check_keys(data, required, source=source)
         with named(source):
+            schema = _require_count("schema", data["schema"], 1)
+            if schema != _SCHEMA:
+                raise DomainError(f"schema {schema} is not supported (expected {_SCHEMA})")
             model = ModelKind.from_code(str(data["model"]))
             strategy = Strategy(model, data["q"], data["f"], data["a"])
+            costs = CostParams(data["c_query"], data["c_feedback"], data["c_assess"])
             session_id = _require_count("session_id", data["session_id"], 0)
             realized_gain = _require_finite("realized_gain", data["realized_gain"])
             realized_cost = _require_finite("realized_cost", data["realized_cost"])
-        raw_actions = data["actions"]
-        if not isinstance(raw_actions, Sequence) or isinstance(raw_actions, (str, bytes)):
-            raise DomainError(f"{source}: actions must be a list")
-        actions = []
-        for entry in raw_actions:
-            try:
-                kind = ActionKind(str(entry["kind"]))
-                actions.append(SessionAction(int(entry["step"]), kind, float(entry["unit_cost"])))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DomainError(f"{source}: bad action entry ({exc})") from None
-        return cls(session_id, model, strategy, tuple(actions), realized_gain, realized_cost)
+        return cls(session_id, model, strategy, costs, realized_gain, realized_cost)
 
 
 def _unrolled_actions(strategy: Strategy, costs: CostParams) -> tuple[SessionAction, ...]:
@@ -161,10 +164,10 @@ def simulate(
 ) -> list[SessionLog]:
     """Generate ``n`` independent session logs for one integer strategy.
 
-    Every session follows the same action trace (costs are deterministic);
-    only the gain shock differs. Each session draws from its own substream
-    spawned off ``seed``, so logs are bit-identical for identical arguments
-    and session ``i`` does not change when ``n`` grows past it.
+    Every session has the same counts and prices, so the same action trace
+    and cost; only the gain shock differs. Each session draws from its own
+    substream spawned off ``seed``, so logs are bit-identical for identical
+    arguments and session ``i`` does not change when ``n`` grows past it.
     """
     validate(efficiency, costs)
     if not strategy.is_integer:
@@ -176,7 +179,6 @@ def simulate(
         raise DomainError("sigma must be >= 0")
     n = _require_count("n", n, 1)
 
-    actions = _unrolled_actions(strategy, costs)
     base_gain = gain(strategy, efficiency)
     base_cost = cost(strategy, costs)
 
@@ -188,22 +190,12 @@ def simulate(
             session_id=i,
             model=strategy.model,
             strategy=strategy,
-            actions=actions,
+            costs=costs,
             realized_gain=base_gain * math.exp(shock),
             realized_cost=base_cost,
             stream_id=i,
         ))
     return logs
-
-
-def prorate_gain(log: SessionLog) -> list[float]:
-    """Cumulative gain spread uniformly over the action trace.
-
-    Display-only: the models say nothing about when gain accrues inside a
-    session, so this is an even split, not a claim about the process.
-    """
-    total = len(log.actions)
-    return [log.realized_gain * (i + 1) / total for i in range(total)]
 
 
 @dataclass(frozen=True)
@@ -261,6 +253,10 @@ def _design_row(row: _ModelRow, first: float, feedback: float, last: float) -> l
 
 
 def _lstsq(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    # Each count is finite, but a product of counts (q*f, q*(1+f)*a) can
+    # overflow, and LAPACK's SVD does not converge on an inf.
+    if not (np.isfinite(design).all() and np.isfinite(target).all()):
+        raise DomainError("session counts are too large to fit: a design value overflows a float")
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=1e-8)
     fitted = design @ coef
     rms = float(np.sqrt(np.mean((target - fitted) ** 2)))

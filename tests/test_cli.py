@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour through click's test runner."""
 
+import io
 import json
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from convecon._jsonio import format_float
 from convecon.cli import main
 from convecon.closed_form import model1_solve
 from convecon.core import ModelKind, Strategy, load_params
-from convecon.sessions import simulate
+from convecon.sessions import read_jsonl, simulate
 
 
 @pytest.fixture
@@ -328,9 +329,9 @@ class TestSimulateAndFit:
         assert result.exit_code == 0
         lines = result.output.splitlines()
         assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first["model"] == "m2"
-        assert [a["kind"] for a in first["actions"]] == [
+        first = read_jsonl(io.StringIO(result.output))[0]
+        assert first.model is ModelKind.FEEDBACK_AFTER
+        assert [a.kind.value for a in first.actions] == [
             "query", "assess", "assess",
             "feedback", "assess", "assess",
             "feedback", "assess", "assess",
@@ -501,6 +502,8 @@ def _record_lines(params_path):
         ("gain", "realized_gain", float("inf")),
         ("both", "session_id", 1.5),
         ("both", "q", True),
+        ("both", "schema", 3),
+        ("cost", "c_query", float("nan")),
     ],
 )
 def test_malformed_log_record_is_invalid_input(runner, params_file, tmp_path, kind, field, value):
@@ -515,6 +518,31 @@ def test_malformed_log_record_is_invalid_input(runner, params_file, tmp_path, ki
     logs.write_text("\n".join(lines) + "\n")
     result = _run(runner, ["fit", "--logs", logs, "--kind", kind])
     _assert_invalid_input(result, f"{logs}:3: ")
+
+
+@pytest.mark.parametrize("kind", ["cost", "both"])
+def test_cost_design_that_overflows_is_invalid_input(runner, params_file, tmp_path, kind):
+    # Each count is finite, but q*f and q*(1+f)*a of the last record overflow.
+    efficiency, costs = load_params(params_file())
+    records = [
+        simulate(Strategy(ModelKind.FEEDBACK_AFTER, q, f, a), efficiency, costs)[0].to_dict()
+        for q, f, a in ((2, 0, 3), (4, 1, 2), (5, 2, 7), (3, 1, 2))
+    ]
+    records[3]["q"] = records[3]["f"] = 1e300
+    logs = tmp_path / "logs.jsonl"
+    logs.write_text("".join(json.dumps(record) + "\n" for record in records))
+    result = _run(runner, ["fit", "--logs", logs, "--kind", kind])
+    _assert_invalid_input(result, "a design value overflows a float")
+
+
+def test_trace_record_from_before_schema_2_is_invalid_input(runner, tmp_path):
+    logs = tmp_path / "old.jsonl"
+    logs.write_text(
+        '{"session_id": 0, "model": "m0", "q": 1, "f": 0, "a": 1, "realized_gain": 1, "realized_cost": 11, '
+        '"actions": [{"step": 0, "kind": "query", "unit_cost": 10}, {"step": 1, "kind": "assess", "unit_cost": 1}]}\n'
+    )
+    result = _run(runner, ["fit", "--logs", logs, "--kind", "cost"])
+    _assert_invalid_input(result, f"{logs}:1: unknown field(s): actions")
 
 
 def test_simulate_query_count_too_large_for_a_float_is_invalid_input(runner, params_file):

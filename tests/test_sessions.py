@@ -2,9 +2,12 @@
 
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convecon import (
     ActionKind,
@@ -19,7 +22,6 @@ from convecon import (
     fit_cost_params,
     fit_gain_params,
     gain,
-    prorate_gain,
     read_jsonl,
     simulate,
     viability,
@@ -140,14 +142,6 @@ class TestSimulate:
         with pytest.raises(DomainError, match="n must be"):
             simulate(strategy, std_efficiency, std_costs, n=0)
 
-    def test_prorate_gain_is_an_even_split(self, std_efficiency, std_costs):
-        (log,) = simulate(Strategy(M0, 2, 0, 2), std_efficiency, std_costs, sigma=0.2, seed=4)
-        series = prorate_gain(log)
-        assert len(series) == len(log.actions)
-        assert series[-1] == log.realized_gain
-        steps = np.diff([0.0] + series)
-        assert np.allclose(steps, log.realized_gain / len(log.actions), rtol=1e-12)
-
 
 # ---------------------------------------------------------------------------
 # JSONL round trip
@@ -178,7 +172,38 @@ class TestJsonl:
         line = buffer.getvalue()
         assert line.endswith("\n")
         assert line.index('"session_id"') < line.index('"model"') < line.index('"q"')
-        assert '"actions"' in line
+        assert '"actions"' not in line
+        assert line.startswith('{"schema": 2, ')
+        for key in ("c_query", "c_feedback", "c_assess"):
+            assert f'"{key}": ' in line
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        model=st.sampled_from(list(ModelKind)),
+        q=st.integers(1, 20),
+        f=st.integers(0, 4),
+        a=st.integers(1, 8),
+        prices=st.tuples(*[st.floats(1e-6, 1e6)] * 3),
+        sigma=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_gives_back_every_field_and_the_trace(self, model, q, f, a, prices, sigma, seed):
+        f = 0 if model is M0 else f
+        efficiency = EfficiencyParams(0.9, 0.3, 0.2, 0.5)
+        strategy = Strategy(model, q, f, a)
+        logs = simulate(strategy, efficiency, CostParams(*prices), sigma=sigma, seed=seed, n=2)
+        buffer = io.StringIO()
+        write_jsonl(logs, buffer)
+        back = read_jsonl(io.StringIO(buffer.getvalue()))
+        assert len(back) == len(logs)
+        for written, read in zip(logs, back):
+            for field in ("session_id", "model", "strategy", "costs", "realized_gain", "realized_cost"):
+                assert getattr(read, field) == getattr(written, field)
+            assert read.actions == written.actions
+            tally = Counter(action.kind for action in read.actions)
+            assert tally[ActionKind.QUERY] == q
+            assert tally[ActionKind.FEEDBACK] == q * f
+            assert tally[ActionKind.ASSESS] == (q * (1 + f) * a if model is M2 else q * a)
 
     def test_read_rejects_broken_lines(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -317,8 +342,8 @@ class TestCostFit:
         def fake(q, a, realized_cost):
             return SessionLog(
                 session_id=0, model=M0,
-                strategy=Strategy(M0, q, 0, a),
-                actions=(), realized_gain=1.0, realized_cost=realized_cost,
+                strategy=Strategy(M0, q, 0, a), costs=CostParams(1.0, 1.0, 1.0),
+                realized_gain=1.0, realized_cost=realized_cost,
             )
 
         fit = fit_cost_params([fake(1, 1, 3.0), fake(1, 2, 2.0)])
