@@ -295,10 +295,14 @@ class SamplePoint:
         return getattr(getattr(self, _holder_of(name)), name)
 
     def with_param(self, name: str, value: float) -> "SamplePoint":
+        """This point with one axis moved; a parameter out of its holder's
+        domain raises the holder's :class:`DomainError`."""
         if name in ("f", "a"):
-            return replace(self, **{name: float(value)})
+            return SamplePoint(**{**vars(self), name: float(value)})
         holder = _holder_of(name)
-        return replace(self, **{holder: replace(getattr(self, holder), **{name: float(value)})})
+        params = getattr(self, holder)
+        changed = type(params)(**{**vars(params), name: float(value)})
+        return SamplePoint(**{**vars(self), holder: changed})
 
     def to_dict(self) -> dict:
         """Every axis, in ``AXIS_ORDER``."""

@@ -7,6 +7,9 @@ disagreement instead of smoothing it away.
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +40,7 @@ from convecon import (
 from convecon.closed_form import recover_q_value
 from convecon.core import cost_value, gain_value
 from convecon.errors import EconError, NoInteriorOptimum
-from convecon.oracle import _gradients, _log_axes, _minimize_batch
+from convecon.oracle import _columns, _evaluate, _gradients, _log_axes, _minimize_batch
 
 M0 = ModelKind.BASELINE
 M1 = ModelKind.FEEDBACK_FIRST
@@ -626,3 +629,120 @@ def test_batch_matches_single_calls_bit_for_bit(model, pin, grid):
         assert seen == {DomainError}  # pin_f applies only to feedback models
     elif model is not M1 and pin is None:
         assert NoInteriorOptimum in seen
+
+
+def _reference_surfaces(model, efficiency, costs, g, f_axis, a_axis):
+    """The lattice arithmetic in operator spelling: fresh arrays from
+    ``recover_q_value`` and ``cost_value``, non-finite costs to inf by
+    ``np.where``."""
+    fcol, arow = f_axis[:, :, None], a_axis[:, None, :]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        qv = recover_q_value(model, g, fcol, arow, efficiency)
+        total = cost_value(model, qv, fcol, arow, costs)
+    return qv, np.where(np.isfinite(total), total, np.inf)
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+@pytest.mark.parametrize("points", [64, 200], ids=["audit-grid", "default-grid"])
+@pytest.mark.parametrize("size", [1, 8])
+@pytest.mark.parametrize("model", [M0, M1, M2])
+def test_evaluate_matches_operator_spelling_bit_for_bit(model, size, points):
+    rng = np.random.default_rng(20261019)
+    costs = CostParams(c_query=10.0, c_feedback=2.0, c_assess=1.0)
+    leads = [_sample_instance(rng)[:2]] + [
+        # 1/alpha = 2 and 1, beta = 0.5, gamma2 = 0.5: the scalar powers
+        # numpy may special-case.
+        (EfficiencyParams(alpha, beta, 0.2, gamma2), costs)
+        for alpha, beta, gamma2 in ((0.5, 0.3, 0.1), (1.0, 0.3, 0.4), (0.9, 0.5, 0.3), (0.9, 0.3, 0.5))
+    ] + [
+        # No finite query count reaches the larger gain target.
+        (EfficiencyParams(0.0068, 0.003, 0.1, 0.4), costs),
+    ]
+    non_finite = 0
+    for lead in leads:
+        pairs = [lead] + [_sample_instance(rng)[:2] for _ in range(size - 1)]
+        if size == 1:
+            efficiency, block_costs = lead
+        else:
+            efficiency = _columns([pair[0] for pair in pairs])
+            block_costs = _columns([pair[1] for pair in pairs])
+        windows = [tuple(sorted(np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 2)))) for _ in range(size * 2)]
+        f_axis, a_axis = _log_axes(windows[:size], points), _log_axes(windows[size:], points)
+        pinned = np.exp(rng.uniform(np.log(0.5), np.log(30.0), (size, 1)))
+        if model is M0:
+            shapes = [(np.zeros((size, 1)), a_axis), (np.zeros((size, 1)), pinned)]
+        else:
+            shapes = [(f_axis, a_axis), (pinned, a_axis), (f_axis, pinned)]
+        for g in (100.0, 3.2e10):
+            for f, a in shapes:
+                want_q, want_total = _reference_surfaces(model, efficiency, block_costs, g, f, a)
+                got_q, got_total = _evaluate(model, efficiency, block_costs, g, f, a)
+                assert got_q.shape == got_total.shape == want_q.shape
+                assert np.array_equal(_bits(got_q), _bits(want_q))
+                assert np.array_equal(_bits(got_total), _bits(want_total))
+                non_finite += np.count_nonzero(np.isinf(want_total))
+    assert non_finite > 0
+
+
+def _solve_bits(jobs):
+    out = []
+    for model, instances, grid in jobs:
+        for result in _minimize_batch(model, instances, 100.0, grid):
+            out.append([getattr(result.strategy, axis).hex() for axis in "qfa"] + [result.to_dict()])
+    return out
+
+
+def test_concurrent_solves_get_their_sequential_bits():
+    # Each thread searches in its own workspace. numpy drops the interpreter
+    # lock inside lattice arithmetic, so threads sharing one would overwrite
+    # each other's lattices mid-round.
+    rng = np.random.default_rng(20261020)
+    costs = CostParams(c_query=10.0, c_feedback=2.0, c_assess=1.0)
+    audit_grid = GridSpec(points=64, refinements=2)
+    instances = [(EfficiencyParams(0.9, 0.3, 0.2, 0.4), costs, None)] + [
+        _sample_instance(rng)[:2] + (None,) for _ in range(15)
+    ]
+    work = [
+        [(M1, instances[:3], GridSpec())],
+        [(M2, instances[:3], GridSpec())],
+        [(M1, instances, audit_grid)] * 2,
+        [(M2, instances, audit_grid)] * 2,
+    ]
+    expected = [_solve_bits(jobs) for jobs in work]
+    got = [None] * len(work)
+    barrier = threading.Barrier(len(work), timeout=60)
+
+    def run(index):
+        barrier.wait()
+        got[index] = _solve_bits(work[index])
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(len(work))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+
+
+@pytest.mark.parametrize("model", [M1, M2])
+def test_default_grid_joint_solve_allocates_no_lattice(model, std_efficiency, std_costs):
+    # numpy reports its array memory to tracemalloc. Once the thread's
+    # workspace has grown, a solve allocates only axes and masks, each far
+    # below one 200 x 200 float64 lattice.
+    minimize_cost(model, std_efficiency, std_costs, 100.0)
+    tracemalloc.start()
+    try:
+        minimize_cost(model, std_efficiency, std_costs, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 200 * 8
