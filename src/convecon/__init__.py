@@ -37,7 +37,6 @@ from .core import (
     cost_value,
     gain,
     gain_value,
-    gamma_fn,
     load_params,
     params_from_mapping,
     params_to_mapping,
@@ -59,7 +58,6 @@ from .oracle import (
     OptimalStrategy,
     integer_refine,
     kkt_residual,
-    lagrangian,
     minimize_cost,
 )
 from .sessions import (
@@ -99,7 +97,7 @@ __all__ = [
     "Infeasible", "InsufficientDesign",
     # core
     "ModelKind", "EfficiencyParams", "CostParams", "ValidatedParams", "Strategy",
-    "gamma_fn", "gain", "gain_value", "cost", "cost_value", "validate",
+    "gain", "gain_value", "cost", "cost_value", "validate",
     "params_from_mapping", "params_to_mapping", "load_params",
     # closed form
     "ClampedValue", "ClosedFormSolution", "SolutionSource",
@@ -109,7 +107,7 @@ __all__ = [
     "model2_solve_coupled", "solutions_for",
     # oracle
     "GridSpec", "OptimalStrategy", "KktReport", "IntegerRefinement",
-    "minimize_cost", "integer_refine", "kkt_residual", "lagrangian",
+    "minimize_cost", "integer_refine", "kkt_residual",
     # statics
     "Quantity", "FormulaVariant", "Claim", "claim_registry",
     "ParameterRegion", "default_region", "SamplePoint", "finite_diff_sign",

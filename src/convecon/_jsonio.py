@@ -5,14 +5,16 @@ in them (value rules live in :mod:`convecon.core`).
 The standard encoder's ``repr`` floats are already round-trippable and
 deterministic; ``%.17g`` is used instead so that JSON, the text rendering
 and CSV spell every float the same way, and it still parses back to the
-exact same double. Only types our documents actually contain are
-supported — anything else is a bug worth raising on.
+exact same double. Keys and strings are quoted as ``json.dumps`` quotes
+them (ASCII, ``\\uXXXX`` escapes). Only types our documents actually
+contain are supported — anything else is a bug worth raising on.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
@@ -69,13 +71,26 @@ def named(source: str):
 
 
 def format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         raise ValueError("non-finite float in JSON document")
     return "%.17g" % value
 
 
 def _encode(obj, pieces: list, indent: int, level: int) -> None:
-    if obj is None:
+    kind = type(obj)
+    # Exact built-in types first; subclasses (bool, enums, numpy scalars)
+    # take the isinstance chain below.
+    if kind is float:
+        pieces.append(format_float(obj))
+    elif kind is str:
+        pieces.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        pieces.append(str(obj))
+    elif kind is dict:
+        _encode_mapping(obj, pieces, indent, level)
+    elif kind is list or kind is tuple:
+        _encode_sequence(obj, pieces, indent, level)
+    elif obj is None:
         pieces.append("null")
     elif isinstance(obj, (bool, np.bool_)):
         pieces.append("true" if obj else "false")
@@ -86,34 +101,42 @@ def _encode(obj, pieces: list, indent: int, level: int) -> None:
     elif isinstance(obj, Enum):
         _encode(obj.value, pieces, indent, level)
     elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
+        pieces.append(encode_basestring_ascii(obj))
     elif isinstance(obj, Mapping):
-        if not obj:
-            pieces.append("{}")
-            return
-        open_sep, close_sep, item_sep = _separators(indent, level)
-        pieces.append("{" + open_sep)
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                pieces.append("," + item_sep)
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
-            pieces.append(json.dumps(key) + ": ")
-            _encode(value, pieces, indent, level + 1)
-        pieces.append(close_sep + "}")
+        _encode_mapping(obj, pieces, indent, level)
     elif isinstance(obj, Sequence):
-        if not obj:
-            pieces.append("[]")
-            return
-        open_sep, close_sep, item_sep = _separators(indent, level)
-        pieces.append("[" + open_sep)
-        for i, value in enumerate(obj):
-            if i:
-                pieces.append("," + item_sep)
-            _encode(value, pieces, indent, level + 1)
-        pieces.append(close_sep + "]")
+        _encode_sequence(obj, pieces, indent, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _encode_mapping(obj: Mapping, pieces: list, indent: int, level: int) -> None:
+    if not obj:
+        pieces.append("{}")
+        return
+    open_sep, close_sep, item_sep = _separators(indent, level)
+    pieces.append("{" + open_sep)
+    for i, (key, value) in enumerate(obj.items()):
+        if i:
+            pieces.append("," + item_sep)
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
+        pieces.append(encode_basestring_ascii(key) + ": ")
+        _encode(value, pieces, indent, level + 1)
+    pieces.append(close_sep + "}")
+
+
+def _encode_sequence(obj: Sequence, pieces: list, indent: int, level: int) -> None:
+    if not obj:
+        pieces.append("[]")
+        return
+    open_sep, close_sep, item_sep = _separators(indent, level)
+    pieces.append("[" + open_sep)
+    for i, value in enumerate(obj):
+        if i:
+            pieces.append("," + item_sep)
+        _encode(value, pieces, indent, level + 1)
+    pieces.append(close_sep + "]")
 
 
 def _separators(indent: int, level: int) -> tuple[str, str, str]:

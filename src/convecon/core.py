@@ -56,9 +56,7 @@ __all__ = [
     "EfficiencyParams",
     "CostParams",
     "ValidatedParams",
-    "QueryExponent",
     "Strategy",
-    "gamma_fn",
     "gain",
     "cost",
     "gain_value",
@@ -174,8 +172,8 @@ class EfficiencyParams:
     gamma2: float = 0.0
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            object.__setattr__(self, field.name, _require_finite(field.name, getattr(self, field.name)))
+        for name in _EFFICIENCY_FIELDS:
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not self.alpha > 0.0:
             raise DomainError("alpha must be > 0")
         if self.alpha > 1.0:
@@ -199,11 +197,11 @@ class CostParams:
     c_assess: float
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = _require_finite(field.name, getattr(self, field.name))
-            object.__setattr__(self, field.name, value)
+        for name in _COST_FIELDS:
+            value = _require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, value)
             if not value > 0.0:
-                raise DomainError(f"{field.name} must be > 0")
+                raise DomainError(f"{name} must be > 0")
 
 
 class ValidatedParams(NamedTuple):
@@ -222,33 +220,6 @@ def validate(efficiency: EfficiencyParams, costs: CostParams) -> ValidatedParams
     if not isinstance(costs, CostParams):
         raise DomainError("costs must be a CostParams instance")
     return ValidatedParams(replace(efficiency), replace(costs))
-
-
-class QueryExponent(float):
-    """Effective query exponent; a plain float plus a convexity flag.
-
-    Values above 1 mean gain grows super-linearly in the number of queries,
-    a regime where cost minimisation against a gain floor can become
-    unbounded. The flag gives callers a cheap way to notice that.
-    """
-
-    __slots__ = ()
-
-    @property
-    def superlinear(self) -> bool:
-        return float(self) > 1.0
-
-
-def gamma_fn(f: float, efficiency: EfficiencyParams) -> QueryExponent:
-    """Effective query exponent in model m1: ``gamma1 * f + alpha``.
-
-    With ``f = 0`` this is exactly ``alpha``, so m1 gain reduces to the
-    baseline bitwise, not just approximately.
-    """
-    f = _require_finite("f", f)
-    if f < 0.0:
-        raise DomainError("f must be >= 0")
-    return QueryExponent(efficiency.gamma1 * f + efficiency.alpha)
 
 
 @dataclass(frozen=True)

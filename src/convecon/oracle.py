@@ -36,9 +36,14 @@ calls, so a round allocates no lattice. The thread keeps three times the
 largest block lattice it has searched: 0.8 MB at the audit grid, 0.96 MB
 at the default grid.
 
-The oracle also reports stationarity diagnostics (:func:`kkt_residual`) and
-an integer neighbourhood search (:func:`integer_refine`) for callers who need
-whole-number action counts rather than the continuous relaxation.
+The batch returns bare incumbents: the least-cost node's ``(q, f, a)`` and
+where the search ended (:class:`GridMeta`), or the instance's error. Only
+:func:`minimize_cost` turns its incumbent into a report
+(:class:`OptimalStrategy`), adding the achieved gain, the total cost and
+the stationarity diagnostics (:func:`kkt_residual`); the audit reads the
+incumbents alone. An integer neighbourhood search (:func:`integer_refine`)
+serves callers who need whole-number action counts rather than the
+continuous relaxation.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import math
 import threading
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,7 +83,6 @@ __all__ = [
     "KktReport",
     "OptimalStrategy",
     "IntegerRefinement",
-    "lagrangian",
     "kkt_residual",
     "minimize_cost",
     "integer_refine",
@@ -235,16 +239,14 @@ class OptimalStrategy:
         return out
 
 
-def lagrangian(
-    strategy: Strategy,
-    efficiency: EfficiencyParams,
-    costs: CostParams,
-    g: float,
-    lam: float,
-) -> float:
-    """Cost minus ``lam`` times the gain surplus over the floor."""
-    g = check_gain(g)
-    return cost(strategy, costs) - lam * (gain(strategy, efficiency) - g)
+class _Incumbent(NamedTuple):
+    """One instance's search result: the least-cost node, as plain floats,
+    and where the search ended."""
+
+    q: float
+    f: float
+    a: float
+    grid_meta: GridMeta
 
 
 def _gradients(strategy: Strategy, efficiency: EfficiencyParams, costs: CostParams):
@@ -499,7 +501,15 @@ def minimize_cost(
         # Popped, not bound to a name: the traceback would hold this frame,
         # and the frame the error, in a cycle only the collector frees.
         raise results.pop()
-    return results[0]
+    incumbent = results[0]
+    strategy = Strategy(model, q=incumbent.q, f=incumbent.f, a=incumbent.a)
+    return OptimalStrategy(
+        strategy=strategy,
+        achieved_gain=gain(strategy, efficiency),
+        total_cost=cost(strategy, costs),
+        kkt=kkt_residual(strategy, efficiency, costs, g),
+        grid_meta=incumbent.grid_meta,
+    )
 
 
 def _minimize_batch(
@@ -509,14 +519,15 @@ def _minimize_batch(
     grid: Optional[GridSpec] = None,
     *,
     pin: Optional[str] = None,
-) -> list[Union[OptimalStrategy, EconError]]:
-    """:func:`minimize_cost` for many instances of one model and pin kind.
+) -> list[Union[_Incumbent, EconError]]:
+    """The zoom search of :func:`minimize_cost` for many instances of one
+    model and pin kind.
 
     ``instances`` are ``(efficiency, costs, value)`` triples, ``value``
     being the instance's ``pin_f`` or ``pin_a`` as ``pin`` is ``"f"`` or
     ``"a"`` (ignored when ``pin`` is None). Returns, in order, each
-    instance's solution or the :class:`EconError` its own call would raise,
-    kept without a traceback; solutions match their own calls bit for bit.
+    instance's incumbent or the :class:`EconError` its search ends in, kept
+    without a traceback; incumbents match their own K=1 calls bit for bit.
     Instances are searched together in blocks of at most ``_BLOCK_NODES``
     lattice nodes, and at least one instance.
     """
@@ -553,7 +564,7 @@ def _search(
     g: float,
     spec: GridSpec,
     pin: Optional[str],
-) -> list[Union[OptimalStrategy, EconError]]:
+) -> list[Union[_Incumbent, EconError]]:
     """The zoom search for one block of K validated instances, their
     lattices stacked on a leading axis; each instance keeps its own
     windows. Returns what :func:`_minimize_batch` does for the block.
@@ -604,7 +615,7 @@ def _search(
                 ]
 
     results: list = []
-    for k, (efficiency_k, costs_k, value) in enumerate(instances):
+    for k, value in enumerate(values):
         if errors[k] is not None:
             results.append(errors[k])
             continue
@@ -631,27 +642,20 @@ def _search(
                     continue
             if a_idx == 0 and a_axis[k, 0] == spec.min:
                 lower_corners.append("a")
-        strategy = Strategy(
-            model, q=float(qv[k, f_idx, a_idx]), f=float(f_axis[k, f_idx]), a=float(a_axis[k, a_idx]),
-        )
-        meta = GridMeta(
+        q = float(qv[k, f_idx, a_idx])
+        if q == 0.0:
+            results.append(NoInteriorOptimum(
+                f"the query count that reaches gain {g!r} underflows a float to 0"
+            ))
+            continue
+        results.append(_Incumbent(q, float(f_axis[k, f_idx]), float(a_axis[k, a_idx]), GridMeta(
             points=spec.points,
             refinements=spec.refinements,
             a_window=(value, value) if pin == "a" else a_windows[k],
             f_window=(value, value) if pin == "f" else None if f_windows is None else f_windows[k],
             lower_corner_axes=tuple(lower_corners),
             pinned_axes=pinned_axes,
-        )
-        try:
-            results.append(OptimalStrategy(
-                strategy=strategy,
-                achieved_gain=gain(strategy, efficiency_k),
-                total_cost=cost(strategy, costs_k),
-                kkt=kkt_residual(strategy, efficiency_k, costs_k, g),
-                grid_meta=meta,
-            ))
-        except EconError as exc:
-            results.append(exc.with_traceback(None))
+        )))
     return results
 
 

@@ -50,7 +50,7 @@ from .core import (
     params_to_mapping,
 )
 from .errors import DomainError, EconError
-from .oracle import GridSpec, OptimalStrategy, _minimize_batch, minimize_cost
+from .oracle import GridSpec, _Incumbent, _minimize_batch, minimize_cost
 
 __all__ = [
     "Quantity",
@@ -362,9 +362,9 @@ def _formula_value(variant: FormulaVariant, point: SamplePoint) -> tuple[float, 
     return value, False
 
 
-def _component(solution: OptimalStrategy, quantity: Quantity, grid: GridSpec) -> tuple[float, bool]:
-    """(component, at_corner) of an oracle solution for ``quantity``."""
-    component = getattr(solution.strategy, _AXIS[quantity])
+def _component(incumbent: _Incumbent, quantity: Quantity, grid: GridSpec) -> tuple[float, bool]:
+    """(component, at_corner) of an oracle incumbent for ``quantity``."""
+    component = getattr(incumbent, _AXIS[quantity])
     return component, component <= grid.min * (1.0 + 1e-9)
 
 
@@ -426,8 +426,8 @@ def _oracle_values(
     """
     model, quantity, given = _VARIANTS[variant]
     instances = [(p.efficiency, p.costs, None if given is None else getattr(p, given)) for p in points]
-    solutions = _minimize_batch(model, instances, g, grid, pin=given)
-    return [None if isinstance(s, EconError) else _component(s, quantity, grid) for s in solutions]
+    incumbents = _minimize_batch(model, instances, g, grid, pin=given)
+    return [None if isinstance(i, EconError) else _component(i, quantity, grid) for i in incumbents]
 
 
 def _outcomes(
@@ -710,8 +710,7 @@ def _collect_agreement(
                 for name, _ in rows:
                     tallies[name].skip()
                 continue
-            oracle = joint.strategy
-            at = replace(point, f=oracle.f, a=oracle.a)
+            at = replace(point, f=joint.f, a=joint.a)
             for name, source in rows:
                 try:
                     formula = _formula_components(source, at, g)
@@ -720,7 +719,7 @@ def _collect_agreement(
                 if formula is None:
                     tallies[name].skip()
                 else:
-                    oracle_values = tuple(getattr(oracle, axis) for axis in formula)
+                    oracle_values = tuple(getattr(joint, axis) for axis in formula)
                     tallies[name].add(tuple(formula.values()), oracle_values)
 
 

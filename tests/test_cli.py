@@ -178,6 +178,16 @@ class TestOracle:
         assert result.exit_code == 3
         assert "no finite cost" in result.stderr
 
+    @pytest.mark.parametrize("command", [
+        ["oracle", "--model", "m0"], ["oracle", "--model", "m1"], ["oracle", "--model", "m2"], ["viability"],
+    ], ids=["oracle-m0", "oracle-m1", "oracle-m2", "viability"])
+    def test_underflowing_query_count_exits_three(self, runner, params_file, grid_file, command):
+        # At alpha 0.9 the query count that reaches gain 1e-300 is below the
+        # smallest float: a valid input with no usable optimum.
+        result = _run(runner, command + ["--params", params_file(), "--gain", "1e-300", "--grid", grid_file])
+        assert result.exit_code == 3
+        assert "underflows a float to 0" in result.stderr
+
     def test_overflowing_integer_candidate_exits_three(self, runner, params_file):
         # The optimum is q ~ 1.016, f ~ 5014; the integer candidate q = 2
         # raises q to a power over 1000, which overflows a float.

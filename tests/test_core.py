@@ -10,7 +10,6 @@ from convecon.core import (
     Strategy,
     cost,
     gain,
-    gamma_fn,
     load_params,
     params_from_mapping,
     params_to_mapping,
@@ -48,25 +47,6 @@ def test_efficiency_bounds(field, value):
     kwargs[field] = value
     with pytest.raises(DomainError, match=field):
         EfficiencyParams(**kwargs)
-
-
-def test_gamma_fn_examples():
-    assert gamma_fn(0, EfficiencyParams(alpha=0.6, beta=0.3)) == 0.6
-    assert gamma_fn(2, EfficiencyParams(alpha=0.6, beta=0.3, gamma1=0.1)) == pytest.approx(0.8)
-    assert gamma_fn(5, EfficiencyParams(alpha=0.7, beta=0.3, gamma1=0.0)) == 0.7
-
-
-def test_gamma_fn_flags_superlinear_exponent():
-    eff = EfficiencyParams(alpha=0.9, beta=0.3, gamma1=0.2)
-    assert not gamma_fn(0, eff).superlinear
-    exponent = gamma_fn(3, eff)
-    assert exponent == pytest.approx(1.5)
-    assert exponent.superlinear
-
-
-def test_gamma_fn_rejects_negative_f():
-    with pytest.raises(DomainError):
-        gamma_fn(-1.0, EfficiencyParams(alpha=0.6, beta=0.3))
 
 
 def test_gain_baseline_linear_case():

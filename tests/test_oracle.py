@@ -30,7 +30,6 @@ from convecon import (
     gain,
     integer_refine,
     kkt_residual,
-    lagrangian,
     minimize_cost,
     model1_solve,
     recover_q,
@@ -93,35 +92,6 @@ def test_grid_spec_from_mapping_rejects_non_numbers():
         GridSpec.from_mapping({"points": "many"})
     with pytest.raises(DomainError, match="min must be a number"):
         GridSpec.from_mapping({"min": True})
-
-
-# ---------------------------------------------------------------------------
-# Lagrangian
-
-
-def test_lagrangian_multiplier_off(std_efficiency, std_costs):
-    s = Strategy(M2, q=2.0, f=3.0, a=4.0)
-    assert lagrangian(s, std_efficiency, std_costs, 50.0, 0.0) == cost(s, std_costs)
-
-
-def test_lagrangian_zero_slack_for_any_multiplier(std_efficiency, std_costs):
-    # On the constraint surface the multiplier term vanishes exactly.
-    s = Strategy(M1, q=5.0, f=2.0, a=3.0)
-    on_surface = gain(s, std_efficiency)
-    for lam in (-3.0, 0.7, 12.0):
-        assert lagrangian(s, std_efficiency, std_costs, on_surface, lam) == cost(s, std_costs)
-
-
-def test_lagrangian_worked_example(std_efficiency, std_costs):
-    s = Strategy(M2, q=2.0, f=3.0, a=4.0)
-    target = gain(s, std_efficiency)
-    assert lagrangian(s, std_efficiency, std_costs, target, 1.0) == 64.0
-
-
-def test_lagrangian_rejects_bad_target(std_efficiency, std_costs):
-    s = Strategy(M0, q=1.0, f=0.0, a=1.0)
-    with pytest.raises(DomainError):
-        lagrangian(s, std_efficiency, std_costs, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +568,14 @@ def _own_call(model, efficiency, costs, g, grid, pin, value):
         return exc
 
 
+def _assert_incumbent_is(incumbent, solution):
+    """A batch incumbent carries its own call's node, bit for bit, and
+    its grid metadata."""
+    for axis in "qfa":
+        assert getattr(incumbent, axis).hex() == getattr(solution.strategy, axis).hex()
+    assert incumbent.grid_meta == solution.grid_meta
+
+
 @pytest.mark.parametrize("grid", [
     GridSpec(points=64, refinements=2), GridSpec(), GridSpec(points=4, refinements=18),
 ], ids=["audit-grid", "default-grid", "collapsing-windows"])
@@ -615,20 +593,39 @@ def test_batch_matches_single_calls_bit_for_bit(model, pin, grid):
         assert len(batch) == len(instances)
         for (efficiency, costs, value), result in zip(instances, batch):
             expected = _own_call(model, efficiency, costs, g, grid, pin, value)
-            assert type(result) is type(expected)
-            seen.add(type(result))
             if isinstance(expected, EconError):
+                assert type(result) is type(expected)
                 assert str(result) == str(expected)
                 assert result.__traceback__ is None
             else:
-                for axis in "qfa":
-                    got, want = getattr(result.strategy, axis), getattr(expected.strategy, axis)
-                    assert got.hex() == want.hex()
-                assert result.to_dict() == expected.to_dict()
+                _assert_incumbent_is(result, expected)
+            seen.add(type(expected))
     if model is M0 and pin == "f":
         assert seen == {DomainError}  # pin_f applies only to feedback models
     elif model is not M1 and pin is None:
         assert NoInteriorOptimum in seen
+
+
+@pytest.mark.parametrize("model", [M0, M1, M2])
+def test_underflowing_query_count_has_no_interior_optimum(model, light_grid):
+    # At alpha 0.7 the query count that reaches gain 1e-300 underflows to 0
+    # on every node that reaches it, and a node with q = 0 costs 0. At
+    # alpha 1 it stays a normal float. One block searches all four.
+    costs = CostParams(c_query=10.0, c_feedback=2.0, c_assess=1.0)
+    instances = [
+        (EfficiencyParams(1.0, beta, 0.2, 0.4), costs, None) for beta in (0.2, 0.3, 0.4)
+    ]
+    instances.insert(1, (EfficiencyParams(0.7, 0.3, 0.2, 0.4), costs, None))
+    g = 1e-300
+    batch = _minimize_batch(model, instances, g, light_grid)
+    assert isinstance(batch[1], NoInteriorOptimum)
+    assert "underflows" in str(batch[1])
+    with pytest.raises(NoInteriorOptimum, match="underflows"):
+        minimize_cost(model, *instances[1][:2], g, light_grid)
+    for i in (0, 2, 3):
+        solution = minimize_cost(model, *instances[i][:2], g, light_grid)
+        assert solution.strategy.q > 0.0
+        _assert_incumbent_is(batch[i], solution)
 
 
 def _reference_surfaces(model, efficiency, costs, g, f_axis, a_axis):
@@ -691,7 +688,7 @@ def _solve_bits(jobs):
     out = []
     for model, instances, grid in jobs:
         for result in _minimize_batch(model, instances, 100.0, grid):
-            out.append([getattr(result.strategy, axis).hex() for axis in "qfa"] + [result.to_dict()])
+            out.append([getattr(result, axis).hex() for axis in "qfa"] + [result.grid_meta])
     return out
 
 

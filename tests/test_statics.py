@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from convecon import oracle
 from convecon import (
     Claim,
     CostParams,
@@ -293,6 +294,17 @@ class TestAuditClaims:
     def test_deterministic_rerun(self, small_audit):
         again = audit_claims(samples=60, seed=7)
         assert again.to_dict() == small_audit.to_dict()
+
+    def test_audit_reads_no_kkt_report(self, monkeypatch):
+        # The audit reads only the oracle's incumbents; a KKT report that
+        # could not be built must change nothing.
+        unpatched = audit_claims(samples=10)
+
+        def no_report(*args, **kwargs):
+            raise AssertionError("the audit asked for a KKT report")
+
+        monkeypatch.setattr(oracle, "kkt_residual", no_report)
+        assert audit_claims(samples=10).to_dict() == unpatched.to_dict()
 
     def test_meta_echoes_inputs(self, small_audit):
         meta = small_audit.meta
