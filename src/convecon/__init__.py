@@ -84,7 +84,6 @@ from .statics import (
     audit_claims,
     claim_registry,
     default_region,
-    finite_diff_sign,
     sweep,
 )
 
@@ -110,7 +109,7 @@ __all__ = [
     "minimize_cost", "integer_refine", "kkt_residual",
     # statics
     "Quantity", "FormulaVariant", "Claim", "claim_registry",
-    "ParameterRegion", "default_region", "SamplePoint", "finite_diff_sign",
+    "ParameterRegion", "default_region", "SamplePoint",
     "SweepTable", "sweep", "ClaimAuditReport", "audit_claims",
     # sessions
     "ActionKind", "SessionAction", "SessionLog", "simulate",

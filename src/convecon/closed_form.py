@@ -69,9 +69,6 @@ class ClampedValue:
         """True when clamping actually changed the value."""
         return self.value != self.raw
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _clamp_floor(raw: float, floor: float = 0.0) -> ClampedValue:
     return ClampedValue(value=max(raw, floor), raw=raw)
@@ -275,18 +272,6 @@ class ClosedFormSolution:
     raw_f: Optional[float] = None
     raw_a: Optional[float] = None
 
-    @property
-    def q(self) -> float:
-        return self.strategy.q
-
-    @property
-    def f(self) -> float:
-        return self.strategy.f
-
-    @property
-    def a(self) -> float:
-        return self.strategy.a
-
     def to_dict(self) -> dict:
         out = {
             "source": self.source.value,
@@ -317,6 +302,14 @@ def solve_model0(efficiency: EfficiencyParams, costs: CostParams, g: float) -> C
     )
 
 
+# The coupled solvers' damped Gauss-Seidel: each step moves a coordinate
+# _RELAXATION of the way to its formula's value; stop once no coordinate
+# moves by _TOLERANCE, and give up after _STEP_LIMIT steps.
+_RELAXATION = 0.5
+_TOLERANCE = 1e-9
+_STEP_LIMIT = 1000
+
+
 def _start_depth(efficiency: EfficiencyParams, costs: CostParams) -> float:
     try:
         return a0_star(efficiency, costs)
@@ -332,10 +325,6 @@ def _solve_coupled(
     efficiency: EfficiencyParams,
     costs: CostParams,
     g: float,
-    *,
-    tol: float,
-    max_iter: int,
-    damping: float,
 ) -> ClosedFormSolution:
     """Joint strategy from a depth formula and a feedback formula that each
     take the other's output, by damped Gauss-Seidel from the baseline depth.
@@ -347,23 +336,21 @@ def _solve_coupled(
     the end.
     """
     g = check_gain(g)
-    if not 0.0 < damping <= 1.0:
-        raise DomainError("damping must be in (0, 1]")
     depth_at, feedback_at = globals()[depth], globals()[feedback]
     a = _start_depth(efficiency, costs)
     f = 0.0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _STEP_LIMIT + 1):
         fb = feedback_at(a, efficiency, costs)
-        f_next = f + damping * (fb.value - f)
-        a_next = a + damping * (depth_at(f_next, efficiency, costs) - a)
+        f_next = f + _RELAXATION * (fb.value - f)
+        a_next = a + _RELAXATION * (depth_at(f_next, efficiency, costs) - a)
         if not (math.isfinite(f_next) and math.isfinite(a_next)):
             raise Diverged(f"fixed-point iterate left the finite range at step {iteration}")
         step = max(abs(f_next - f), abs(a_next - a))
         f, a = f_next, a_next
-        if step < tol:
+        if step < _TOLERANCE:
             break
     else:
-        raise Diverged(f"fixed point not reached after {max_iter} iterations")
+        raise Diverged(f"fixed point not reached after {_STEP_LIMIT} iterations")
     q = recover_q(g, f, a, model, efficiency)
     corner = f == 0.0 and fb.raw < 0.0
     return ClosedFormSolution(
@@ -375,15 +362,7 @@ def _solve_coupled(
     )
 
 
-def model1_solve(
-    efficiency: EfficiencyParams,
-    costs: CostParams,
-    g: float,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-    damping: float = 0.5,
-) -> ClosedFormSolution:
+def model1_solve(efficiency: EfficiencyParams, costs: CostParams, g: float) -> ClosedFormSolution:
     """Joint m1 strategy from the mutually-dependent depth/feedback formulas.
 
     Neither :func:`a1_star` nor :func:`f1_star` stands alone (each takes the
@@ -392,7 +371,7 @@ def model1_solve(
     """
     return _solve_coupled(
         ModelKind.FEEDBACK_FIRST, SolutionSource.MODEL1_COUPLED, "a1_star", "f1_star",
-        efficiency, costs, g, tol=tol, max_iter=max_iter, damping=damping,
+        efficiency, costs, g,
     )
 
 
@@ -443,15 +422,7 @@ def solve_model2_full(
     )
 
 
-def model2_solve_coupled(
-    efficiency: EfficiencyParams,
-    costs: CostParams,
-    g: float,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-    damping: float = 0.5,
-) -> ClosedFormSolution:
+def model2_solve_coupled(efficiency: EfficiencyParams, costs: CostParams, g: float) -> ClosedFormSolution:
     """Joint m2 strategy from the depth-coupled feedback variant.
 
     Same fixed-point scheme as :func:`model1_solve`, over
@@ -459,7 +430,7 @@ def model2_solve_coupled(
     """
     return _solve_coupled(
         ModelKind.FEEDBACK_AFTER, SolutionSource.MODEL2_COUPLED, "a2_star_partial", "f2_star_coupled",
-        efficiency, costs, g, tol=tol, max_iter=max_iter, damping=damping,
+        efficiency, costs, g,
     )
 
 

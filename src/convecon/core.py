@@ -250,14 +250,6 @@ class Strategy:
     def is_integer(self) -> bool:
         return all(float(v).is_integer() for v in (self.q, self.f, self.a))
 
-    def replace_counts(self, q: float | None = None, f: float | None = None, a: float | None = None) -> "Strategy":
-        return Strategy(
-            self.model,
-            self.q if q is None else q,
-            self.f if f is None else f,
-            self.a if a is None else a,
-        )
-
 
 def gain_value(model: ModelKind, q, f, a, efficiency: EfficiencyParams):
     """Gain for raw counts; works elementwise on numpy arrays too.

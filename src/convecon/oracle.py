@@ -147,7 +147,6 @@ class GridMeta:
     a_window: tuple[float, float]
     f_window: Optional[tuple[float, float]] = None
     lower_corner_axes: tuple[str, ...] = ()
-    pinned_axes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         out = {
@@ -158,8 +157,6 @@ class GridMeta:
         }
         if self.f_window is not None:
             out["f_window"] = list(self.f_window)
-        if self.pinned_axes:
-            out["pinned_axes"] = list(self.pinned_axes)
         return out
 
 
@@ -285,16 +282,23 @@ def kkt_residual(
 
     Small residuals certify an interior stationary point; a corner optimum
     legitimately shows a non-zero feedback residual, so this is a diagnostic,
-    not a pass/fail test on its own.
+    not a pass/fail test on its own. A gradient component or a residual that
+    overflows a float raises :class:`NoInteriorOptimum`.
     """
     g = check_gain(g)
     cost_grad, gain_grad = _gradients(strategy, efficiency, costs)
+    at = f"at (q={strategy.q!r}, f={strategy.f!r}, a={strategy.a!r})"
+    for name, gradient in (("cost", cost_grad), ("gain", gain_grad)):
+        if not all(math.isfinite(component) for component in gradient):
+            raise NoInteriorOptimum(f"the {name} gradient {at} overflows a float")
     if gain_grad[2] == 0.0:
         raise DomainError("assessment gain gradient is zero; cannot read off a multiplier")
     lam = cost_grad[2] / gain_grad[2]
     norm = math.sqrt(sum(component * component for component in cost_grad))
     residual_q = (cost_grad[0] - lam * gain_grad[0]) / norm
     residual_f = (cost_grad[1] - lam * gain_grad[1]) / norm
+    if not (math.isfinite(residual_q) and math.isfinite(residual_f)):
+        raise NoInteriorOptimum(f"the KKT residuals {at} overflow a float")
     gap = (gain(strategy, efficiency) - g) / g
     return KktReport(
         lam=lam,
@@ -459,11 +463,11 @@ def _pow_fast_path(model: ModelKind, efficiency: EfficiencyParams) -> bool:
 def _check_pin(model: ModelKind, pin: Optional[str], value) -> None:
     if pin == "f":
         if not model.uses_feedback:
-            raise DomainError("pin_f applies only to feedback models")
+            raise DomainError("a pinned f applies only to feedback models")
         if not math.isfinite(value) or value < 0.0:
-            raise DomainError("pin_f must be finite and >= 0")
+            raise DomainError("a pinned f must be finite and >= 0")
     elif pin == "a" and (not math.isfinite(value) or value <= 0.0):
-        raise DomainError("pin_a must be finite and > 0")
+        raise DomainError("a pinned a must be finite and > 0")
 
 
 def minimize_cost(
@@ -472,9 +476,6 @@ def minimize_cost(
     costs: CostParams,
     g: float,
     grid: Optional[GridSpec] = None,
-    *,
-    pin_f: Optional[float] = None,
-    pin_a: Optional[float] = None,
 ) -> OptimalStrategy:
     """Cheapest strategy reaching gain ``g``, found by zoomed grid search.
 
@@ -486,17 +487,8 @@ def minimize_cost(
     box artefact. Lower-edge contacts are legitimate corners (for example, a
     feedback model with a zero feedback exponent) and are recorded in the
     grid metadata.
-
-    ``pin_f`` / ``pin_a`` hold one axis at a fixed value and search only the
-    other, which is how the comparative-statics auditor asks conditional
-    questions ("best depth at this feedback level"). A pinned axis is exempt
-    from boundary diagnostics.
     """
-    if pin_f is not None and pin_a is not None:
-        raise DomainError("cannot pin both axes; nothing would be left to search")
-    pin = "a" if pin_a is not None else "f" if pin_f is not None else None
-    value = pin_a if pin == "a" else pin_f
-    results = _minimize_batch(model, [(efficiency, costs, value)], g, grid, pin=pin)
+    results = _minimize_batch(model, [(efficiency, costs, None)], g, grid)
     if isinstance(results[0], EconError):
         # Popped, not bound to a name: the traceback would hold this frame,
         # and the frame the error, in a cycle only the collector frees.
@@ -523,9 +515,12 @@ def _minimize_batch(
     """The zoom search of :func:`minimize_cost` for many instances of one
     model and pin kind.
 
-    ``instances`` are ``(efficiency, costs, value)`` triples, ``value``
-    being the instance's ``pin_f`` or ``pin_a`` as ``pin`` is ``"f"`` or
-    ``"a"`` (ignored when ``pin`` is None). Returns, in order, each
+    ``instances`` are ``(efficiency, costs, value)`` triples. With ``pin``
+    ``"f"`` or ``"a"``, that axis is held at each instance's ``value`` and
+    only the other is searched, which is how the claims audit asks
+    conditional questions ("best depth at this feedback level"); a pinned
+    axis is exempt from boundary diagnostics. ``value`` is ignored when
+    ``pin`` is None. Returns, in order, each
     instance's incumbent or the :class:`EconError` its search ends in, kept
     without a traceback; incumbents match their own K=1 calls bit for bit.
     Instances are searched together in blocks of at most ``_BLOCK_NODES``
@@ -586,7 +581,6 @@ def _search(
     a_fixed = pinned if pin == "a" else None
     f_windows = [(spec.min, spec.max)] * size if f_fixed is None else None
     a_windows = [(spec.min, spec.max)] * size if a_fixed is None else None
-    pinned_axes = (pin,) if pin is not None else ()
 
     errors: list[Optional[EconError]] = [None] * size
     best = [(0, 0)] * size
@@ -654,15 +648,12 @@ def _search(
             a_window=(value, value) if pin == "a" else a_windows[k],
             f_window=(value, value) if pin == "f" else None if f_windows is None else f_windows[k],
             lower_corner_axes=tuple(lower_corners),
-            pinned_axes=pinned_axes,
         )))
     return results
 
 
-def _integer_candidates(center: float, radius: int, floor: int) -> range:
-    lo = math.floor(center) - (radius - 1)
-    hi = math.ceil(center) + (radius - 1)
-    return range(max(floor, lo), max(floor, hi) + 1)
+def _integer_candidates(center: float, floor: int) -> range:
+    return range(max(floor, math.floor(center)), max(floor, math.ceil(center)) + 1)
 
 
 def integer_refine(
@@ -670,12 +661,11 @@ def integer_refine(
     efficiency: EfficiencyParams,
     costs: CostParams,
     g: float,
-    radius: int = 1,
 ) -> IntegerRefinement:
     """Cheapest all-integer strategy near a continuous solution.
 
-    Searches the integer lattice within ``radius`` of each rounded component
-    (queries and assessments at least 1, feedback at least 0). For every
+    Searches the floor and ceiling of each component (queries and
+    assessments at least 1, feedback at least 0). For every
     feedback/assessment pair, the query count that exactly meets the floor is
     rounded up and offered as an extra candidate, so a feasible point exists
     whenever the floor is attainable at all. Candidates must reach the gain
@@ -684,7 +674,6 @@ def integer_refine(
     overflows a float raises :class:`NoInteriorOptimum`.
     """
     g = check_gain(g)
-    radius = _require_count("radius", radius, 1)
     base = getattr(solution, "strategy", solution)
     if not isinstance(base, Strategy):
         raise DomainError("solution must carry a Strategy")
@@ -692,9 +681,9 @@ def integer_refine(
 
     f_candidates: Sequence[int] = (0,)
     if model.uses_feedback:
-        f_candidates = _integer_candidates(base.f, radius, floor=0)
-    a_candidates = _integer_candidates(base.a, radius, floor=1)
-    q_candidates = list(_integer_candidates(base.q, radius, floor=1))
+        f_candidates = _integer_candidates(base.f, floor=0)
+    a_candidates = _integer_candidates(base.a, floor=1)
+    q_candidates = list(_integer_candidates(base.q, floor=1))
 
     feasible: list[tuple[float, int, int, int, float]] = []
     slack = 1.0 - 1e-12
@@ -719,7 +708,7 @@ def integer_refine(
                     feasible.append((cost(candidate, costs), q, f, a, achieved))
     if not feasible:
         raise Infeasible(
-            f"no integer strategy within radius {radius} of "
+            "no integer strategy within radius 1 of "
             f"(q={base.q:.3f}, f={base.f:.3f}, a={base.a:.3f}) reaches gain {g}"
         )
     feasible.sort(key=lambda row: (row[0], row[1], row[2], row[3]))

@@ -60,7 +60,6 @@ __all__ = [
     "ParameterRegion",
     "default_region",
     "SamplePoint",
-    "finite_diff_sign",
     "SweepTable",
     "sweep",
     "ClaimAudit",
@@ -246,18 +245,9 @@ class ParameterRegion:
             if not isinstance(pair, Sequence) or isinstance(pair, (str, bytes)) or len(pair) != 2:
                 raise DomainError(f"{source}: axis {name} must be a [lo, hi] pair")
             lo, hi = pair
-            for v in (lo, hi):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise DomainError(f"{source}: axis {name} bounds must be numbers")
             bounds.append((name, lo, hi))
         with named(source):
             return cls(bounds=tuple(bounds))
-
-    def bounds_of(self, name: str) -> tuple[float, float]:
-        for axis, lo, hi in self.bounds:
-            if axis == name:
-                return lo, hi
-        raise DomainError(f"unknown region axis {name!r}")
 
     def to_dict(self) -> dict:
         return {name: [lo, hi] for name, lo, hi in self.bounds}
@@ -327,24 +317,6 @@ def _sign_of(derivative: float) -> str:
     if abs(derivative) < FLAT_THRESHOLD:
         return SIGN_FLAT
     return SIGN_POSITIVE if derivative > 0.0 else SIGN_NEGATIVE
-
-
-def finite_diff_sign(
-    evaluator: Callable[[SamplePoint], float],
-    parameter: str,
-    at: SamplePoint,
-    h: float = 1e-4,
-) -> str:
-    """Sign of d(evaluator)/d(parameter) at ``at`` by central differences.
-
-    The step is relative (the parameter is scaled by ``1 +/- h``). Returns
-    "+", "-", or "0" when the magnitude falls below the flat threshold of
-    1e-9. A parameter at 0 has no relative step and raises
-    :class:`DomainError`; domain errors from the perturbed evaluations
-    propagate.
-    """
-    base, hi, lo = _perturbed(at, parameter, h)
-    return _difference((float(evaluator(hi)), False), (float(evaluator(lo)), False), base, h)[0]
 
 
 def _formula_value(variant: FormulaVariant, point: SamplePoint) -> tuple[float, bool]:

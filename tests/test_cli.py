@@ -188,6 +188,19 @@ class TestOracle:
         assert result.exit_code == 3
         assert "underflows a float to 0" in result.stderr
 
+    @pytest.mark.parametrize("command", [
+        ["oracle", "--model", "m1"],
+        ["sweep", "--model", "m1", "--vary", "c_query", "--lo", "5", "--hi", "10", "--steps", "2"],
+    ], ids=["oracle", "sweep"])
+    def test_overflowing_kkt_gradient_exits_three(self, runner, params_file, command):
+        # At gain 1e308 the m1 optimum (q ~ 2.72, f ~ 3542, a ~ 3.00) is
+        # finite, but the gain gradient at it overflows a float, so there is
+        # no KKT report to write.
+        result = _run(runner, command + ["--params", params_file(), "--gain", "1e308"])
+        assert result.exit_code == 3
+        assert "gain gradient" in result.stderr
+        assert "overflows a float" in result.stderr
+
     def test_overflowing_integer_candidate_exits_three(self, runner, params_file):
         # The optimum is q ~ 1.016, f ~ 5014; the integer candidate q = 2
         # raises q to a power over 1000, which overflows a float.
@@ -265,6 +278,13 @@ class TestAudit:
         result = _run(runner, ["audit", "--region", region_path, "--output", tmp_path / "x.json"])
         assert result.exit_code == 2
         assert "missing axis" in result.stderr
+
+        region = {axis: [1.0, 2.0] for axis in ("gamma1", "c_query", "c_feedback", "c_assess", "f", "a")}
+        region.update(alpha=["x", 0.9], beta=[0.1, 0.3], gamma2=[0.4, 0.6])
+        region_path.write_text(json.dumps(region))
+        result = _run(runner, ["audit", "--region", region_path, "--output", tmp_path / "x.json"])
+        assert result.exit_code == 2
+        assert f"{region_path}: region axis alpha lo must be a number, got 'x'" in result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -309,10 +309,6 @@ class TestModel1Solve:
         with pytest.raises(Diverged):
             model1_solve(eff(0.9, 0.3, gamma1=0.0), costs(), 100.0)
 
-    def test_divergence_raises(self):
-        with pytest.raises(Diverged):
-            model1_solve(eff(**self.E), costs(), 100.0, max_iter=2)
-
 
 # ------------------------------------------------ coupled m2 draft pair
 

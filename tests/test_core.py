@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,10 +129,10 @@ def test_gain_monotone_in_each_count():
             f = 0.0 if model is ModelKind.BASELINE else 2.0
             s = Strategy(model, q, f, a)
             base = gain(s, eff)
-            assert gain(s.replace_counts(q=q * 1.1), eff) > base
-            assert gain(s.replace_counts(a=a * 1.1), eff) > base
+            assert gain(replace(s, q=q * 1.1), eff) > base
+            assert gain(replace(s, a=a * 1.1), eff) > base
             if model is not ModelKind.BASELINE:
-                boosted = gain(s.replace_counts(f=f + 1.0), eff)
+                boosted = gain(replace(s, f=f + 1.0), eff)
                 gamma = eff.gamma1 if model is ModelKind.FEEDBACK_FIRST else eff.gamma2
                 # m1's feedback raises the *query* exponent, so it only helps
                 # when q > 1 (d gain/d f = gamma1 * ln(q) * gain); m2's
@@ -146,8 +147,8 @@ def test_diminishing_returns():
         if eff.alpha >= 1.0 or eff.beta >= 1.0:
             continue
         s = Strategy(ModelKind.BASELINE, q, 0, a)
-        assert gain(s.replace_counts(q=2 * q), eff) < 2.0 * gain(s, eff)
-        assert gain(s.replace_counts(a=2 * a), eff) < 2.0 * gain(s, eff)
+        assert gain(replace(s, q=2 * q), eff) < 2.0 * gain(s, eff)
+        assert gain(replace(s, a=2 * a), eff) < 2.0 * gain(s, eff)
 
 
 def test_gain_homogeneity_and_cost_degree_one():
@@ -156,7 +157,7 @@ def test_gain_homogeneity_and_cost_degree_one():
         for model in (ModelKind.BASELINE, ModelKind.FEEDBACK_AFTER):
             f = 0.0 if model is ModelKind.BASELINE else 1.5
             s = Strategy(model, q, f, a)
-            scaled = s.replace_counts(q=k * q)
+            scaled = replace(s, q=k * q)
             assert gain(scaled, eff) == pytest.approx(k ** eff.alpha * gain(s, eff), rel=1e-12)
             assert cost(scaled, costs) == pytest.approx(k * cost(s, costs), rel=1e-12)
 
@@ -166,9 +167,9 @@ def test_cost_increasing_in_counts_and_prices():
     costs = CostParams(c_query=10.0, c_feedback=2.0, c_assess=1.0)
     s = Strategy(ModelKind.FEEDBACK_AFTER, 5, 2, 4)
     base = cost(s, costs)
-    assert cost(s.replace_counts(q=6), costs) > base
-    assert cost(s.replace_counts(f=3), costs) > base
-    assert cost(s.replace_counts(a=5), costs) > base
+    assert cost(replace(s, q=6), costs) > base
+    assert cost(replace(s, f=3), costs) > base
+    assert cost(replace(s, a=5), costs) > base
     assert cost(s, CostParams(11.0, 2.0, 1.0)) > base
     assert cost(s, CostParams(10.0, 2.5, 1.0)) > base
     assert cost(s, CostParams(10.0, 2.0, 1.5)) > base

@@ -39,7 +39,7 @@ from convecon import (
 from convecon.closed_form import recover_q_value
 from convecon.core import cost_value, gain_value
 from convecon.errors import EconError, NoInteriorOptimum
-from convecon.oracle import _columns, _evaluate, _gradients, _log_axes, _minimize_batch
+from convecon.oracle import _argmin_lex, _columns, _evaluate, _gradients, _log_axes, _minimize_batch
 
 M0 = ModelKind.BASELINE
 M1 = ModelKind.FEEDBACK_FIRST
@@ -154,6 +154,22 @@ class TestKktResidual:
         with pytest.raises(DomainError):
             kkt_residual(s, std_efficiency, std_costs, -1.0)
 
+    def test_overflowing_gradient_has_no_interior_optimum(self, std_efficiency, std_costs):
+        # The m1 optimum at gain 1e308 is finite, but the q component of the
+        # gain gradient, (gamma1*f + alpha) * gain / q, overflows a float.
+        s = Strategy(M1, q=2.716682433670388, f=3541.919557534125, a=3.0016795165352446)
+        with pytest.raises(NoInteriorOptimum, match="gain gradient .* overflows a float"):
+            kkt_residual(s, std_efficiency, std_costs, 1e308)
+
+    def test_overflowing_residual_has_no_interior_optimum(self):
+        # Every gradient component is finite, but the multiplier
+        # q*c_assess / (beta*gain/a) overflows, and the q residual with it.
+        efficiency = EfficiencyParams(0.001, 0.001)
+        costs = CostParams(1.0, 1.0, 1e-290)
+        s = Strategy(M0, q=1e300, f=0.0, a=1e300)
+        with pytest.raises(NoInteriorOptimum, match="KKT residuals .* overflow a float"):
+            kkt_residual(s, efficiency, costs, 1.0)
+
     def test_dict_uses_lambda_key(self, std_efficiency, std_costs):
         s = Strategy(M0, 2.0, 0.0, 2.0)
         doc = kkt_residual(s, std_efficiency, std_costs, 1.0).to_dict()
@@ -174,7 +190,7 @@ class TestMinimizeCost:
     def test_baseline_matches_closed_form(self, std_efficiency, std_costs):
         sol = minimize_cost(M0, std_efficiency, std_costs, 100.0)
         reference = solve_model0(std_efficiency, std_costs, 100.0)
-        assert sol.strategy.a == pytest.approx(reference.a, rel=1e-3)
+        assert sol.strategy.a == pytest.approx(reference.strategy.a, rel=1e-3)
         assert sol.total_cost == pytest.approx(cost(reference.strategy, std_costs), rel=1e-9)
         assert sol.kkt.residual_max <= 1e-3
         assert abs(sol.kkt.constraint_rel_gap) <= 1e-9
@@ -252,64 +268,65 @@ class TestMinimizeCost:
         assert meta.points == 80 and meta.refinements == 2
         assert meta.a_window[0] <= sol.strategy.a <= meta.a_window[1]
         assert meta.f_window[0] <= sol.strategy.f <= meta.f_window[1]
-        assert meta.pinned_axes == ()
+
+
+def _own_call(model, efficiency, costs, g, grid=None, pin=None, value=None):
+    """One instance's incumbent, or its error, from a batch of one."""
+    return _minimize_batch(model, [(efficiency, costs, value)], g, grid, pin=pin)[0]
 
 
 class TestPinnedAxes:
     def test_pin_feedback_solves_conditional_depth(self, std_efficiency, std_costs):
-        sol = minimize_cost(M2, std_efficiency, std_costs, 100.0, pin_f=1.0)
-        assert sol.strategy.f == 1.0
-        assert sol.grid_meta.pinned_axes == ("f",)
-        assert sol.grid_meta.f_window == (1.0, 1.0)
+        pinned = _own_call(M2, std_efficiency, std_costs, 100.0, pin="f", value=1.0)
+        assert pinned.f == 1.0
+        assert pinned.grid_meta.f_window == (1.0, 1.0)
         expected = a2_star_partial(1.0, std_efficiency, std_costs)
-        assert sol.strategy.a == pytest.approx(expected, rel=1e-3)
+        assert pinned.a == pytest.approx(expected, rel=1e-3)
 
     def test_pin_zero_feedback_reduces_to_baseline(self, std_efficiency, std_costs, light_grid):
         # f pinned below the grid floor is legal and must not trip the corner
         # diagnostics; with f = 0 the model-m2 surface is the baseline one.
-        pinned = minimize_cost(M2, std_efficiency, std_costs, 100.0, light_grid, pin_f=0.0)
+        pinned = _own_call(M2, std_efficiency, std_costs, 100.0, light_grid, pin="f", value=0.0)
         baseline = minimize_cost(M0, std_efficiency, std_costs, 100.0, light_grid)
-        assert pinned.strategy.a == baseline.strategy.a
-        assert pinned.total_cost == baseline.total_cost
+        assert pinned.a == baseline.strategy.a
+        assert cost(Strategy(M2, pinned.q, pinned.f, pinned.a), std_costs) == baseline.total_cost
         assert pinned.grid_meta.lower_corner_axes == ()
 
     def test_pin_assessment_recovers_joint_feedback(self, std_efficiency, std_costs):
         joint = minimize_cost(M2, std_efficiency, std_costs, 100.0)
-        pinned = minimize_cost(
-            M2, std_efficiency, std_costs, 100.0, pin_a=joint.strategy.a
-        )
-        assert pinned.strategy.a == joint.strategy.a
-        assert pinned.grid_meta.pinned_axes == ("a",)
-        assert pinned.strategy.f == pytest.approx(joint.strategy.f, rel=1e-2)
-        assert pinned.total_cost == pytest.approx(joint.total_cost, rel=1e-4)
+        pinned = _own_call(M2, std_efficiency, std_costs, 100.0, pin="a", value=joint.strategy.a)
+        assert pinned.a == joint.strategy.a
+        assert pinned.grid_meta.a_window == (joint.strategy.a, joint.strategy.a)
+        assert pinned.f == pytest.approx(joint.strategy.f, rel=1e-2)
+        pinned_cost = cost(Strategy(M2, pinned.q, pinned.f, pinned.a), std_costs)
+        assert pinned_cost == pytest.approx(joint.total_cost, rel=1e-4)
 
     def test_pin_rejections(self, std_efficiency, std_costs):
-        with pytest.raises(DomainError, match="cannot pin both axes"):
-            minimize_cost(M2, std_efficiency, std_costs, 100.0, pin_f=1.0, pin_a=2.0)
-        with pytest.raises(DomainError, match="pin_f applies only to feedback models"):
-            minimize_cost(M0, std_efficiency, std_costs, 100.0, pin_f=1.0)
-        with pytest.raises(DomainError, match="pin_f"):
-            minimize_cost(M2, std_efficiency, std_costs, 100.0, pin_f=-0.5)
-        with pytest.raises(DomainError, match="pin_a"):
-            minimize_cost(M2, std_efficiency, std_costs, 100.0, pin_a=0.0)
+        for model, pin, value, message in (
+            (M0, "f", 1.0, "a pinned f applies only to feedback models"),
+            (M2, "f", -0.5, "a pinned f must be finite and >= 0"),
+            (M2, "a", 0.0, "a pinned a must be finite and > 0"),
+        ):
+            result = _own_call(model, std_efficiency, std_costs, 100.0, pin=pin, value=value)
+            assert isinstance(result, DomainError)
+            assert str(result) == message
 
 
 # ---------------------------------------------------------------------------
 # Integer refinement
 
 
-def _neighborhood_best(base, efficiency, costs, g, radius=1):
+def _neighborhood_best(base, efficiency, costs, g):
     """Independent enumeration of the documented candidate set.
 
-    Floor/ceil combinations within ``radius`` of each component, plus, for
-    every feedback/depth pair, the query count re-solved upward to the next
+    Floor/ceil combinations of each component, plus, for every
+    feedback/depth pair, the query count re-solved upward to the next
     integer that meets the floor. Returns the least-cost feasible row with
     lexicographic tie-breaking, as (cost, q, f, a).
     """
 
     def around(center, lo):
-        raw = range(math.floor(center) - (radius - 1), math.ceil(center) + radius)
-        return sorted({max(lo, v) for v in raw})
+        return sorted({max(lo, math.floor(center)), max(lo, math.ceil(center))})
 
     f_options = [0] if base.model is M0 else around(base.f, 0)
     rows = []
@@ -350,38 +367,28 @@ class TestIntegerRefine:
         assert refined.total_cost == 30000.0
 
     def test_cost_ties_break_lexicographically(self):
-        # With unit prices the cost is q * (1 + a); (3,0,3), (4,0,2) and
-        # (6,0,1) all cost exactly 12 and all clear the floor, so the
-        # smallest query count must win.
+        # With unit prices the cost is q * (1 + a); (3,0,3) and (4,0,2) are
+        # both candidates around (3.5, 0, 2.5), both cost exactly 12 and both
+        # clear the floor, so the smaller query count must win.
         efficiency = EfficiencyParams(0.6, 0.4)
         costs = CostParams(1.0, 1.0, 1.0)
-        refined = integer_refine(Strategy(M0, 4.0, 0.0, 2.0), efficiency, costs, 2.9, radius=2)
+        refined = integer_refine(Strategy(M0, 3.5, 0.0, 2.5), efficiency, costs, 2.9)
         assert (refined.strategy.q, refined.strategy.f, refined.strategy.a) == (3.0, 0.0, 3.0)
         assert refined.total_cost == 12.0
-
-    def test_wider_radius_reaches_cheaper_points(self, std_costs):
-        efficiency = EfficiencyParams(0.9, 0.3)
-        base = Strategy(M0, 200.0, 0.0, 2.5)  # depth far below the optimum near 5
-        narrow = integer_refine(base, efficiency, std_costs, 100.0, radius=1)
-        wide = integer_refine(base, efficiency, std_costs, 100.0, radius=2)
-        assert narrow.strategy.a == 3.0
-        assert wide.strategy.a == 4.0
-        assert wide.total_cost < narrow.total_cost
 
     @pytest.mark.parametrize("model", [M0, M1, M2])
     def test_matches_exhaustive_enumeration(self, model, std_efficiency, std_costs, light_grid):
         sol = minimize_cost(model, std_efficiency, std_costs, 100.0, light_grid)
-        for radius in (1, 2):
-            refined = integer_refine(sol, std_efficiency, std_costs, 100.0, radius=radius)
-            best = _neighborhood_best(sol.strategy, std_efficiency, std_costs, 100.0, radius)
-            assert (
-                refined.total_cost,
-                refined.strategy.q,
-                refined.strategy.f,
-                refined.strategy.a,
-            ) == best
-            assert refined.strategy.is_integer
-            assert refined.achieved_gain >= 100.0 * (1.0 - 1e-12)
+        refined = integer_refine(sol, std_efficiency, std_costs, 100.0)
+        best = _neighborhood_best(sol.strategy, std_efficiency, std_costs, 100.0)
+        assert (
+            refined.total_cost,
+            refined.strategy.q,
+            refined.strategy.f,
+            refined.strategy.a,
+        ) == best
+        assert refined.strategy.is_integer
+        assert refined.achieved_gain >= 100.0 * (1.0 - 1e-12)
 
     def test_accepts_closed_form_solutions(self, std_efficiency, std_costs):
         reference = solve_model0(std_efficiency, std_costs, 100.0)
@@ -431,12 +438,6 @@ class TestIntegerRefine:
                         continue
                     refined += 1
         assert refined > 1500
-
-    @pytest.mark.parametrize("radius", [0, -1, 1.5, True])
-    def test_rejects_bad_radius(self, std_efficiency, std_costs, radius):
-        base = Strategy(M0, 10.0, 0.0, 2.0)
-        with pytest.raises(DomainError, match="radius"):
-            integer_refine(base, std_efficiency, std_costs, 5.0, radius=radius)
 
     def test_rejects_strategyless_input(self, std_efficiency, std_costs):
         with pytest.raises(DomainError, match="must carry a Strategy"):
@@ -547,6 +548,27 @@ def _batch_instances():
     return instances
 
 
+def test_argmin_lex_breaks_ties_by_smallest_q_f_a():
+    # Hand-made (K=4, F=2, A=3) lattices. Each of the first three instances
+    # has two least-cost nodes, and plain argmin (the first in flat order)
+    # is not the one with the smallest (q, f, a); the last has no finite cost.
+    inf = np.inf
+    total = np.array([
+        [[5.0, 1.0, 7.0], [1.0, 9.0, 9.0]],  # tie at flat 1 and 3
+        [[1.0, 9.0, 9.0], [1.0, 9.0, 9.0]],  # tie at flat 0 and 3
+        [[1.0, 1.0, 5.0], [5.0, 5.0, 5.0]],  # tie at flat 0 and 1
+        [[inf, inf, inf], [inf, inf, inf]],
+    ])
+    qv = np.ones_like(total)
+    qv[0, 0, 1], qv[0, 1, 0] = 4.0, 2.0  # the later node has the smaller q
+    f_axis = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [1.0, 2.0]])  # equal q: smaller f
+    a_axis = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])  # then smaller a
+    assert total.reshape(4, -1)[:3].argmin(axis=1).tolist() == [1, 0, 0]
+    assert _argmin_lex(total, qv, f_axis, a_axis) == [3, 3, 1, -1]
+    # Without a tie, the least cost wins outright.
+    assert _argmin_lex(total[:1] + np.arange(6.0).reshape(1, 2, 3), qv[:1], f_axis[:1], a_axis[:1]) == [1]
+
+
 def test_log_axes_rows_match_scalar_logspace():
     # numpy's logspace over arrays of endpoints takes another branch for
     # every row once one row has a zero step; each row must still get the
@@ -560,20 +582,14 @@ def test_log_axes_rows_match_scalar_logspace():
             assert [v.hex() for v in row] == [v.hex() for v in expected]
 
 
-def _own_call(model, efficiency, costs, g, grid, pin, value):
-    kwargs = {} if pin is None else {f"pin_{pin}": value}
-    try:
-        return minimize_cost(model, efficiency, costs, g, grid, **kwargs)
-    except EconError as exc:
-        return exc
-
-
-def _assert_incumbent_is(incumbent, solution):
-    """A batch incumbent carries its own call's node, bit for bit, and
+def _assert_incumbent_is(incumbent, expected):
+    """A batch incumbent carries the node of ``expected`` (its own
+    one-instance incumbent or ``minimize_cost`` solution), bit for bit, and
     its grid metadata."""
+    counts = getattr(expected, "strategy", expected)
     for axis in "qfa":
-        assert getattr(incumbent, axis).hex() == getattr(solution.strategy, axis).hex()
-    assert incumbent.grid_meta == solution.grid_meta
+        assert getattr(incumbent, axis).hex() == getattr(counts, axis).hex()
+    assert incumbent.grid_meta == expected.grid_meta
 
 
 @pytest.mark.parametrize("grid", [
@@ -601,7 +617,7 @@ def test_batch_matches_single_calls_bit_for_bit(model, pin, grid):
                 _assert_incumbent_is(result, expected)
             seen.add(type(expected))
     if model is M0 and pin == "f":
-        assert seen == {DomainError}  # pin_f applies only to feedback models
+        assert seen == {DomainError}  # a pinned f applies only to feedback models
     elif model is not M1 and pin is None:
         assert NoInteriorOptimum in seen
 

@@ -21,10 +21,9 @@ from convecon import (
     audit_claims,
     claim_registry,
     default_region,
-    finite_diff_sign,
     sweep,
 )
-from convecon.statics import AXIS_ORDER, DEFAULT_AUDIT_GRID, _draw_point
+from convecon.statics import AXIS_ORDER, DEFAULT_AUDIT_GRID, FORMULA_H, _draw_point, _outcomes, _perturbed
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +97,7 @@ class TestParameterRegion:
         with pytest.raises(DomainError, match="axis f"):
             ParameterRegion.from_mapping(data)
         data["f"] = [True, 2.0]
-        with pytest.raises(DomainError, match="must be numbers"):
+        with pytest.raises(DomainError, match="axis f lo must be a number"):
             ParameterRegion.from_mapping(data)
 
     def test_rejects_inverted_or_nonpositive_bounds(self):
@@ -115,12 +114,6 @@ class TestParameterRegion:
         data["alpha"] = [0.5, 1.2]
         with pytest.raises(DomainError, match="alpha.*<= 1"):
             ParameterRegion.from_mapping(data)
-
-    def test_bounds_of(self):
-        region = default_region()
-        assert region.bounds_of("f") == (0.5, 6.0)
-        with pytest.raises(DomainError):
-            region.bounds_of("delta")
 
 
 class TestSamplePoint:
@@ -155,33 +148,39 @@ class TestSamplePoint:
 # Finite differences
 
 
+def _sign(evaluator, parameter, point):
+    """The sign of one central difference, through the audit's route helper,
+    on a route that evaluates ``evaluator`` unclamped at every point."""
+    [outcome] = _outcomes(lambda points: [(evaluator(p), False) for p in points], parameter, [point], FORMULA_H)
+    return outcome[0]
+
+
 class TestFiniteDiffSign:
     @pytest.fixture
     def point(self, std_efficiency, std_costs):
         return SamplePoint(std_efficiency, std_costs, f=2.0, a=4.0)
 
     def test_increasing(self, point):
-        sign = finite_diff_sign(lambda p: a0_star(p.efficiency, p.costs), "c_query", point)
-        assert sign == "+"
+        assert _sign(lambda p: a0_star(p.efficiency, p.costs), "c_query", point) == "+"
 
     def test_decreasing(self, point):
-        sign = finite_diff_sign(lambda p: a0_star(p.efficiency, p.costs), "c_assess", point)
-        assert sign == "-"
+        assert _sign(lambda p: a0_star(p.efficiency, p.costs), "c_assess", point) == "-"
 
     def test_flat(self, point):
-        assert finite_diff_sign(lambda p: 3.25, "c_query", point) == "0"
+        assert _sign(lambda p: 3.25, "c_query", point) == "0"
 
     def test_step_is_relative(self, point):
         # A quadratic in the parameter: central differences on a relative
         # step recover the exact derivative sign even far from 1.0.
         big = point.with_param("c_query", 4000.0)
-        assert finite_diff_sign(lambda p: (p.costs.c_query - 5000.0) ** 2, "c_query", big) == "-"
+        assert _sign(lambda p: (p.costs.c_query - 5000.0) ** 2, "c_query", big) == "-"
 
     def test_zero_valued_parameter_is_domain_error(self, point):
-        # A relative step around 0 is no step at all.
+        # A relative step around 0 is no step at all; the audit skips it.
         at_zero = point.with_param("gamma1", 0.0)
         with pytest.raises(DomainError, match="gamma1"):
-            finite_diff_sign(lambda p: p.efficiency.gamma1, "gamma1", at_zero)
+            _perturbed(at_zero, "gamma1", FORMULA_H)
+        assert _outcomes(lambda points: [(1.0, False)] * len(points), "gamma1", [at_zero], FORMULA_H) == [None]
 
 
 # ---------------------------------------------------------------------------
