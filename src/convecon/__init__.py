@@ -40,7 +40,6 @@ from .core import (
     load_params,
     params_from_mapping,
     params_to_mapping,
-    validate,
 )
 from .errors import (
     Diverged,
@@ -96,7 +95,7 @@ __all__ = [
     "Infeasible", "InsufficientDesign",
     # core
     "ModelKind", "EfficiencyParams", "CostParams", "ValidatedParams", "Strategy",
-    "gain", "gain_value", "cost", "cost_value", "validate",
+    "gain", "gain_value", "cost", "cost_value",
     "params_from_mapping", "params_to_mapping", "load_params",
     # closed form
     "ClampedValue", "ClosedFormSolution", "SolutionSource",

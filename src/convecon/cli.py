@@ -8,6 +8,7 @@ what went wrong rather than parsing error prose.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -104,6 +105,16 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
+def _write(text: str) -> None:
+    """Write a document to standard output as it is now.
+
+    The stream is passed explicitly: without one, click caches every new
+    ``sys.stdout`` in a weak-keyed map whose value is the stream itself, so
+    each buffer an in-process caller redirects to would be kept forever.
+    """
+    click.echo(text, file=sys.stdout, nl=False)
+
+
 def _emit(doc, fmt: str, output: Optional[str]) -> None:
     if fmt == "text":
         rendered = _render_text(doc) + "\n"
@@ -112,7 +123,7 @@ def _emit(doc, fmt: str, output: Optional[str]) -> None:
     if output:
         Path(output).write_text(rendered)
     else:
-        click.echo(rendered, nl=False)
+        _write(rendered)
 
 
 _MODEL_CODES = [model.code for model in ModelKind]
@@ -238,7 +249,7 @@ def audit(region_path, samples, seed, gain_target, grid_path, output):
             region=region, samples=samples, seed=seed, g=gain_target, grid=_grid_from_option(grid_path),
         )
         Path(output).write_text(dumps(report.to_dict(), indent=2) + "\n")
-        click.echo(report.to_text(), nl=False)
+        _write(report.to_text())
 
     _fail_on_econ_errors(body)
 
@@ -284,7 +295,7 @@ def sweep_cmd(model_code, params_path, vary, lo, hi, steps, gain_target, targets
         if output:
             Path(output).write_text(rendered)
         else:
-            click.echo(rendered, nl=False)
+            _write(rendered)
 
     _fail_on_econ_errors(body)
 
@@ -313,7 +324,7 @@ def simulate_cmd(model_code, params_path, q, f, a, sigma, seed, n, output):
 
             buffer = io.StringIO()
             write_jsonl(logs, buffer)
-            click.echo(buffer.getvalue(), nl=False)
+            _write(buffer.getvalue())
 
     _fail_on_econ_errors(body)
 

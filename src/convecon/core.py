@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple, Union
@@ -61,7 +61,6 @@ __all__ = [
     "cost",
     "gain_value",
     "cost_value",
-    "validate",
     "check_gain",
     "load_params",
     "params_to_mapping",
@@ -207,19 +206,6 @@ class CostParams:
 class ValidatedParams(NamedTuple):
     efficiency: EfficiencyParams
     costs: CostParams
-
-
-def validate(efficiency: EfficiencyParams, costs: CostParams) -> ValidatedParams:
-    """Re-check both parameter bundles and return them as one unit.
-
-    Construction already validates, so this mainly guards values smuggled in
-    past ``__init__`` and gives callers a single checkpoint to hold on to.
-    """
-    if not isinstance(efficiency, EfficiencyParams):
-        raise DomainError("efficiency must be an EfficiencyParams instance")
-    if not isinstance(costs, CostParams):
-        raise DomainError("costs must be a CostParams instance")
-    return ValidatedParams(replace(efficiency), replace(costs))
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,33 @@ gets the bits its own K=1 call gives, by three rules:
 * at K=1 the parameters reach numpy as plain floats, not (1, 1, 1) arrays:
   the bits are the same, but arrays slow the lattice arithmetic down.
 
+A block of joint searches (a feedback model, no pin) whose full lattice has
+at least ``_PRUNE_NODES`` nodes (a lone search from 128 points per axis, 8
+searches from 46) evaluates only the feedback rows that can hold a round's
+least cost (:func:`_kept_rows`); a smaller block evaluates every row, which
+is cheaper there. Each round first bounds every row's least cost from below
+(:func:`_row_floors`: the row's continuous minimum over the assessment
+window, worked out from the model row in :mod:`convecon.core`, less a 1e-9
+relative slack) and evaluates the row with the lowest bound. That row's
+least cost is a lattice value, so no row whose bound exceeds it can hold
+the round's least cost or tie it. Each instance then evaluates one window
+of consecutive rows that covers the rows left, at its own offset, with a
+full lattice's arithmetic; so the incumbent, the tie-break, the corner
+flags and the :class:`Unbounded` check keep their bits (a neighbour row
+outside the window is costlier than the incumbent). The bound only chooses
+rows and never supplies an answer, and it uses :mod:`convecon.core`, never
+the closed forms. Every row is kept where subnormal values could lose the
+precision the slack assumes, and for an m1 instance whose exponent
+``1 / (gamma1*f + alpha)`` is 0.5 or 2 on some row: whether numpy takes its
+sqrt or square path there depends on the lattice's shape. A default-grid
+joint solve at the README parameters evaluates 1,600 to 3,000 nodes, not
+160,000. One-axis searches have a single row or column and evaluate it all.
+
 Each zoom round writes its lattices into a workspace that the thread keeps
 (:func:`_workspace`): three lattice-sized buffers, reused across rounds and
-calls, so a round allocates no lattice. The thread keeps three times the
-largest block lattice it has searched: 0.8 MB at the audit grid, 0.96 MB
-at the default grid.
+calls, so a round allocates no lattice. The arena grows only to three times
+the largest lattice the thread is asked for: at most 0.8 MB at the audit
+grid and 0.96 MB at the default grid, where every row is kept.
 
 The batch returns bare incumbents: the least-cost node's ``(q, f, a)`` and
 where the search ended (:class:`GridMeta`), or the instance's error. Only
@@ -92,9 +114,25 @@ _GRID_FIELDS = ("min", "max", "points", "refinements")
 
 # Lattice nodes searched at once: K instances of ``points ** searched`` nodes.
 _BLOCK_NODES = 2**15
+# A joint block evaluates only its kept rows (_kept_rows) when its full
+# lattice has at least this many nodes. Below that, bounding and probing the
+# rows costs more than evaluating them all: a lone search breaks even near
+# 100 points per axis, a block of 8 near 40.
+_PRUNE_NODES = 2**14
 
 # Per thread, the flat float64 arena behind _workspace's lattice buffers.
 _WORKSPACE = threading.local()
+
+# Exponents numpy computes by sqrt, square and reciprocal when it holds
+# them fixed, instead of by pow.
+_SPECIAL_EXPONENTS = (0.5, 2.0, -1.0)
+
+# A row floor is lowered by this relative slack, far above the rounding of
+# the lattice arithmetic, so no lattice node of the row costs less.
+_FLOOR_SLACK = 1e-9
+# Values at or below this may be subnormal somewhere in the lattice
+# arithmetic, where the slack no longer covers the lost precision.
+_FLOOR_TINY = 1e-290
 
 
 @dataclass(frozen=True)
@@ -428,6 +466,81 @@ def _evaluate(model, efficiency, costs, g, f_axis, a_axis):
     return qv, total
 
 
+def _row_floors(model, efficiency, costs, g, f_axis, a_axis):
+    """Per instance, a lower bound on each feedback row's least lattice
+    cost, as a (K, F) array; 0 where the bound is not sound.
+
+    With q eliminated through the gain floor, row ``f`` costs
+    ``Q0 * a**-r * (K1 + K2*a)`` with ``r = beta / (alpha + lift*gamma1*f)``,
+    ``K1 = c_query + f*c_feedback`` and ``K2 = (1 + repeat*f)*c_assess``
+    (the model row, as in :func:`_gradients`). For ``r < 1`` that is
+    unimodal in ``a``, least at ``a* = r*K1 / ((1 - r)*K2)``; for ``r >= 1``
+    it falls in ``a``. So the row's continuous minimum over the assessment
+    window is its cost at ``a*`` clipped to the window, less
+    ``_FLOOR_SLACK``.
+
+    A row's floor is 0, so that the row is always evaluated, where the
+    floor is not finite, or where it, the row's least ``g / scale`` or
+    ``min(1, q) * min(1, f, a)`` (at the row's least ``q`` and the window's
+    least ``a``) is at most ``_FLOOR_TINY``.
+    """
+    row = _model_row(model)
+    f = f_axis[:, :, None]
+    lo, hi = a_axis[:, None, :1], a_axis[:, None, -1:]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        exponent = _query_exponent(row, f, efficiency)
+        inverse = 1.0 / exponent
+        ratio = efficiency.beta / exponent
+        fixed = costs.c_query + f * costs.c_feedback
+        per_a = (1.0 + f) * costs.c_assess if row.repeat else costs.c_assess
+        turn = ratio * fixed / ((1.0 - ratio) * per_a)
+        a = np.where(ratio < 1.0, np.minimum(np.maximum(turn, lo), hi), hi)
+        passes = (1.0 + f) ** efficiency.gamma2 if row.repeat else 1.0
+        floor = (g / (passes * a ** efficiency.beta)) ** inverse * (fixed + per_a * a)
+        floor *= 1.0 - _FLOOR_SLACK
+        least_x = g / (passes * hi ** efficiency.beta)
+        least_q = least_x ** inverse
+        smallest = np.minimum(least_x, np.minimum(least_q, 1.0) * np.minimum(np.minimum(f, lo), 1.0))
+        sound = np.isfinite(floor) & (floor > _FLOOR_TINY) & (smallest > _FLOOR_TINY)
+    floors = np.where(sound, floor, 0.0)[:, :, 0]
+    if row.lift:
+        # _evaluate raises to these reciprocals as an array. numpy computes
+        # a special exponent by square, sqrt or reciprocal only where its
+        # inner loop holds the exponent fixed, and which loop it runs
+        # depends on the lattice's shape; so such an instance keeps every
+        # row, and the lattice shape of a full search.
+        floors[(inverse == np.array(_SPECIAL_EXPONENTS)).any(axis=(1, 2))] = 0.0
+    return floors
+
+
+def _kept_rows(model, efficiency, costs, g, f_axis, a_axis):
+    """The feedback rows a joint round has to evaluate: per instance, a
+    window of consecutive rows holding every row that can hold the least
+    cost; returns each instance's first row and the (K, W) window axis.
+
+    Each instance first evaluates the row with the lowest floor
+    (:func:`_row_floors`); that row's least cost ``U`` is a lattice value,
+    so a row whose floor exceeds ``U`` can neither hold the round's least
+    cost nor tie it. Where ``U`` is not finite or is at most
+    ``_FLOOR_TINY``, every row is kept. The window width ``W`` is the widest
+    instance's, each instance at its own offset.
+    """
+    size, rows = f_axis.shape
+    instance = np.arange(size)
+    floors = _row_floors(model, efficiency, costs, g, f_axis, a_axis)
+    probe = floors.argmin(axis=1)
+    _, probe_total = _evaluate(model, efficiency, costs, g, f_axis[instance, probe][:, None], a_axis)
+    least = probe_total.min(axis=(1, 2))
+    kept = floors <= least[:, None]
+    kept[~((least > _FLOOR_TINY) & (least < np.inf))] = True
+    first = kept.argmax(axis=1)
+    width = int((rows - kept[:, ::-1].argmax(axis=1) - first).max())
+    if width == rows:
+        return [0] * size, f_axis
+    start = np.minimum(first, rows - width)
+    return start.tolist(), f_axis[instance[:, None], start[:, None] + np.arange(width)]
+
+
 def _columns(params: Sequence) -> SimpleNamespace:
     """K parameter bundles as one, each field a (K, 1, 1) column.
 
@@ -457,7 +570,7 @@ def _pow_fast_path(model: ModelKind, efficiency: EfficiencyParams) -> bool:
         exponents.append(efficiency.gamma2)
     if not row.lift:
         exponents.append(1.0 / efficiency.alpha)
-    return any(value in (0.5, 2.0, -1.0) for value in exponents)
+    return any(value in _SPECIAL_EXPONENTS for value in exponents)
 
 
 def _check_pin(model: ModelKind, pin: Optional[str], value) -> None:
@@ -584,16 +697,24 @@ def _search(
 
     errors: list[Optional[EconError]] = [None] * size
     best = [(0, 0)] * size
+    # Each instance's first evaluated feedback row; a large joint block
+    # evaluates only the rows _kept_rows keeps.
+    start = [0] * size
+    prune = f_windows is not None and a_windows is not None and size * spec.points**2 >= _PRUNE_NODES
     for round_index in range(spec.refinements + 1):
         f_axis = f_fixed if f_windows is None else _log_axes(f_windows, spec.points)
         a_axis = a_fixed if a_windows is None else _log_axes(a_windows, spec.points)
-        qv, total = _evaluate(model, efficiency, costs, g, f_axis, a_axis)
-        for k, flat_idx in enumerate(_argmin_lex(total, qv, f_axis, a_axis)):
+        f_rows = f_axis
+        if prune:
+            start, f_rows = _kept_rows(model, efficiency, costs, g, f_axis, a_axis)
+        qv, total = _evaluate(model, efficiency, costs, g, f_rows, a_axis)
+        for k, flat_idx in enumerate(_argmin_lex(total, qv, f_rows, a_axis)):
             if flat_idx < 0:
                 # A valid input whose gain target no finite query count reaches.
                 errors[k] = errors[k] or NoInteriorOptimum("grid evaluation produced no finite cost")
             else:
-                best[k] = divmod(flat_idx, a_axis.shape[1])
+                row_idx, a_idx = divmod(flat_idx, a_axis.shape[1])
+                best[k] = (start[k] + row_idx, a_idx)
         if all(errors):
             return errors
         if round_index < spec.refinements:
@@ -615,10 +736,13 @@ def _search(
             continue
         f_idx, a_idx = best[k]
         surface = total[k]
+        row_idx = f_idx - start[k]
         lower_corners = []
         if f_windows is not None:
             if f_idx == f_axis.shape[1] - 1 and f_axis[k, -1] == spec.max:
-                if surface[f_idx - 1, a_idx] > surface[f_idx, a_idx]:
+                # A row left out of the window has a floor above the
+                # incumbent's cost, so every node of it is costlier.
+                if row_idx == 0 or surface[row_idx - 1, a_idx] > surface[row_idx, a_idx]:
                     results.append(Unbounded(
                         "cost still decreasing at the upper grid bound on the feedback axis "
                         f"(f = {spec.max}); the optimum lies outside the search box"
@@ -628,7 +752,7 @@ def _search(
                 lower_corners.append("f")
         if a_windows is not None:
             if a_idx == a_axis.shape[1] - 1 and a_axis[k, -1] == spec.max:
-                if surface[f_idx, a_idx - 1] > surface[f_idx, a_idx]:
+                if surface[row_idx, a_idx - 1] > surface[row_idx, a_idx]:
                     results.append(Unbounded(
                         "cost still decreasing at the upper grid bound on the assessment axis "
                         f"(a = {spec.max}); the optimum lies outside the search box"
@@ -636,7 +760,7 @@ def _search(
                     continue
             if a_idx == 0 and a_axis[k, 0] == spec.min:
                 lower_corners.append("a")
-        q = float(qv[k, f_idx, a_idx])
+        q = float(qv[k, row_idx, a_idx])
         if q == 0.0:
             results.append(NoInteriorOptimum(
                 f"the query count that reaches gain {g!r} underflows a float to 0"

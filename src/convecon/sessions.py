@@ -34,7 +34,6 @@ from .core import (
     check_gain,
     cost,
     gain,
-    validate,
 )
 from .errors import DomainError, InsufficientDesign, Unbounded
 from .oracle import GridSpec, OptimalStrategy, minimize_cost
@@ -169,7 +168,6 @@ def simulate(
     substream spawned off ``seed``, so logs are bit-identical for identical
     arguments and session ``i`` does not change when ``n`` grows past it.
     """
-    validate(efficiency, costs)
     if not strategy.is_integer:
         raise DomainError("simulate requires an integer strategy (whole q, f, a)")
     if strategy.q < 1 or strategy.a < 1:
@@ -449,7 +447,6 @@ def viability(
     play is effectively "don't give feedback", and the baseline already is
     that play without the machinery.
     """
-    validate(efficiency, costs)
     g = check_gain(g)
     grid = grid if grid is not None else GridSpec()
 

@@ -1,7 +1,10 @@
 """End-to-end command-line behaviour through click's test runner."""
 
+import contextlib
+import gc
 import io
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -461,6 +464,21 @@ class TestViability:
         doc = json.loads(result.output)
         assert doc["not_comparable"] == ["m2"]
         assert doc["costs"]["m2"] is None
+
+    def test_in_process_call_keeps_no_stdout_buffer(self, params_file, grid_file):
+        # A caller that runs commands in-process and redirects standard
+        # output must get its buffer back: nothing may cache the stream.
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            main.main(
+                ["viability", "--params", str(params_file()), "--gain", "100", "--grid", str(grid_file)],
+                standalone_mode=False,
+            )
+        assert json.loads(buffer.getvalue())["cheapest"] in ("m0", "m1", "m2")
+        kept = weakref.ref(buffer)
+        del buffer
+        gc.collect()
+        assert kept() is None
 
 
 # ---------------------------------------------------------------------------

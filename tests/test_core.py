@@ -14,17 +14,8 @@ from convecon.core import (
     load_params,
     params_from_mapping,
     params_to_mapping,
-    validate,
 )
 from convecon.errors import DomainError
-
-
-def test_validate_accepts_well_formed_params():
-    eff = EfficiencyParams(alpha=0.9, beta=0.3, gamma1=0.1, gamma2=0.5)
-    costs = CostParams(c_query=10.0, c_feedback=2.0, c_assess=1.0)
-    validated = validate(eff, costs)
-    assert validated.efficiency == eff
-    assert validated.costs == costs
 
 
 def test_validate_rejects_zero_alpha():

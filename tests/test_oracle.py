@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convecon import (
     CostParams,
@@ -39,6 +41,7 @@ from convecon import (
 from convecon.closed_form import recover_q_value
 from convecon.core import cost_value, gain_value
 from convecon.errors import EconError, NoInteriorOptimum
+from convecon import oracle
 from convecon.oracle import _argmin_lex, _columns, _evaluate, _gradients, _log_axes, _minimize_batch
 
 M0 = ModelKind.BASELINE
@@ -759,3 +762,134 @@ def test_default_grid_joint_solve_allocates_no_lattice(model, std_efficiency, st
     finally:
         tracemalloc.stop()
     assert peak < 200 * 200 * 8
+
+
+# ---------------------------------------------------------------------------
+# Row floors: a joint round evaluates only the rows that can hold its least cost
+
+
+def _wide_draw(rng, model):
+    """Parameters up to the edges of the domain: alpha down to 1e-3, gamma1
+    up to 100, gamma2 in {0, 0.5, 1}, prices 1e-4 to 1e4. A fifth are m2
+    runaways (gamma2 >= alpha), a fifth lift every m1 row to the exponent 2
+    (alpha 0.5, gamma1 0), and two fifths keep alpha above 0.3, where most
+    gain targets have a finite optimum."""
+    alpha = float(10.0 ** rng.uniform(-3.0, 0.0))
+    beta = float(rng.choice([0.5, 1.0, 10.0 ** rng.uniform(-3.0, 0.0)]))
+    gamma1 = float(rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 2.0)]))
+    gamma2 = float(rng.choice([0.0, 0.5, 1.0]))
+    kind = rng.integers(5)
+    if kind == 0 and model is M2:
+        alpha, gamma2 = min(alpha, 0.9), 1.0
+    elif kind == 1:
+        alpha, gamma1 = 0.5, 0.0
+    elif kind >= 3:
+        alpha = float(rng.uniform(0.3, 1.0))
+    prices = 10.0 ** rng.uniform(-4.0, 4.0, size=3)
+    return EfficiencyParams(alpha, beta, gamma1, gamma2), CostParams(*(float(p) for p in prices))
+
+
+def _keep_every_row(model, efficiency, costs, g, f_axis, a_axis):
+    """A stand-in for ``_row_floors``: every floor 0, so every row is kept,
+    which is the full lattice."""
+    return np.zeros(f_axis.shape)
+
+
+def _count_rows(monkeypatch):
+    """Wrap ``_evaluate``; the list it returns gets each call's (rows, columns)."""
+    calls = []
+    evaluate = oracle._evaluate
+
+    def counting(model, efficiency, costs, g, f_axis, a_axis):
+        calls.append((f_axis.shape[1], a_axis.shape[1]))
+        return evaluate(model, efficiency, costs, g, f_axis, a_axis)
+
+    monkeypatch.setattr(oracle, "_evaluate", counting)
+    return calls
+
+
+def _outcomes(results):
+    return [
+        (type(result).__name__, str(result)) if isinstance(result, EconError)
+        else ([getattr(result, axis).hex() for axis in "qfa"], result.grid_meta)
+        for result in results
+    ]
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(), GridSpec(points=64, refinements=2), GridSpec(points=7, refinements=5),
+    GridSpec(min=1e-6, max=1e6, points=31, refinements=3),
+], ids=["default-grid", "audit-grid", "seven-points", "wide-box"])
+@pytest.mark.parametrize("model", [M1, M2])
+def test_row_floors_keep_every_incumbent_bit_for_bit(model, grid, monkeypatch):
+    monkeypatch.setattr(oracle, "_PRUNE_NODES", 0)  # every block evaluates kept rows only
+    rng = np.random.default_rng(20261021)
+    jobs = []
+    for size in (1, 3, 8):
+        for g in (1e-300, 1e308, float(10.0 ** rng.uniform(-300.0, 300.0)), float(10.0 ** rng.uniform(0.0, 6.0))):
+            jobs.append(([_wide_draw(rng, model) + (None,) for _ in range(size)], g))
+    calls = _count_rows(monkeypatch)
+    pruned = [_outcomes(_minimize_batch(model, instances, g, grid)) for instances, g in jobs]
+    # Each round evaluates its probe rows, then its window; many windows
+    # leave rows out.
+    windows = calls[1::2]
+    assert sum(rows < grid.points for rows, _ in windows) > len(windows) // 5
+    monkeypatch.setattr(oracle, "_row_floors", _keep_every_row)
+    full = [_outcomes(_minimize_batch(model, instances, g, grid)) for instances, g in jobs]
+    assert pruned == full
+    kinds = {outcome[0] if isinstance(outcome[0], str) else "incumbent" for batch in full for outcome in batch}
+    assert {"incumbent", "NoInteriorOptimum"} <= kinds
+    if model is M2:
+        assert "Unbounded" in kinds
+
+
+@pytest.mark.parametrize("model,efficiency,costs,g,grid", [
+    # gamma1 0 and alpha 0.5 lift every m1 row to the exponent 2: numpy
+    # squares a one-row window where the full 7 x 7 lattice goes through
+    # pow, and the two differ in the last bit of this incumbent's q.
+    (M1, EfficiencyParams(0.5, 0.0271586695465435, 0.0, 0.0),
+     CostParams(27.77027915882111, 1433.8581173978196, 2.940159211015901),
+     8926.23606639164, GridSpec(points=7, refinements=5)),
+    # The query counts near f = 1e4 are subnormal, where the slack does not
+    # cover the lost precision: Unbounded on the full lattice.
+    (M2, EfficiencyParams(0.9545455952088651, 0.3445865306156437, 1.568690048126101, 1.0),
+     CostParams(0.00032267969897433526, 0.0001681144411925177, 0.01507220868603185),
+     1e-300, GridSpec()),
+], ids=["exponent-two", "subnormal-q"])
+def test_row_floors_keep_bits_where_rows_must_stay(model, efficiency, costs, g, grid, monkeypatch):
+    monkeypatch.setattr(oracle, "_PRUNE_NODES", 0)
+    pruned = _outcomes(_minimize_batch(model, [(efficiency, costs, None)], g, grid))
+    monkeypatch.setattr(oracle, "_row_floors", _keep_every_row)
+    assert pruned == _outcomes(_minimize_batch(model, [(efficiency, costs, None)], g, grid))
+
+
+_UNIT = st.floats(1e-3, 1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    model=st.sampled_from([M1, M2]),
+    efficiency=st.builds(EfficiencyParams, _UNIT, _UNIT, st.floats(0.0, 100.0), st.floats(0.0, 1.0)),
+    costs=st.builds(CostParams, *[st.floats(1e-4, 1e4)] * 3),
+    log_gain=st.floats(-300.0, 300.0),
+    windows=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.0, 12.0)), min_size=2, max_size=2),
+)
+def test_row_floor_never_exceeds_the_row_least_cost(model, efficiency, costs, log_gain, windows):
+    (f_lo, f_span), (a_lo, a_span) = windows
+    f_axis = _log_axes([(10.0 ** f_lo, 10.0 ** (f_lo + f_span))], 31)
+    a_axis = _log_axes([(10.0 ** a_lo, 10.0 ** (a_lo + a_span))], 31)
+    g = 10.0 ** log_gain
+    floors = oracle._row_floors(model, efficiency, costs, g, f_axis, a_axis)
+    _, total = _evaluate(model, efficiency, costs, g, f_axis, a_axis)
+    assert floors.shape == (1, 31)
+    assert np.all(floors[0] <= total[0].min(axis=1))
+
+
+@pytest.mark.parametrize("g", [10.0, 1e2, 1e4, 1e6])
+@pytest.mark.parametrize("model", [M1, M2])
+def test_default_grid_joint_solve_evaluates_few_nodes(model, g, std_efficiency, std_costs, monkeypatch):
+    # The full lattice is 4 rounds of 200 x 200 nodes; the rows that can
+    # hold each round's least cost, probe rows included, are a few.
+    calls = _count_rows(monkeypatch)
+    minimize_cost(model, std_efficiency, std_costs, g)
+    assert sum(rows * columns for rows, columns in calls) <= 4000
