@@ -105,25 +105,23 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
-def _write(text: str) -> None:
-    """Write a document to standard output as it is now.
+def _write(text: str, output: Optional[str] = None) -> None:
+    """Write a document to the file ``output``, or to standard output as it
+    is now.
 
     The stream is passed explicitly: without one, click caches every new
     ``sys.stdout`` in a weak-keyed map whose value is the stream itself, so
     each buffer an in-process caller redirects to would be kept forever.
     """
-    click.echo(text, file=sys.stdout, nl=False)
+    if output:
+        Path(output).write_text(text)
+    else:
+        click.echo(text, file=sys.stdout, nl=False)
 
 
 def _emit(doc, fmt: str, output: Optional[str]) -> None:
-    if fmt == "text":
-        rendered = _render_text(doc) + "\n"
-    else:
-        rendered = dumps(doc, indent=2) + "\n"
-    if output:
-        Path(output).write_text(rendered)
-    else:
-        _write(rendered)
+    rendered = _render_text(doc) if fmt == "text" else dumps(doc, indent=2)
+    _write(rendered + "\n", output)
 
 
 _MODEL_CODES = [model.code for model in ModelKind]
@@ -215,9 +213,10 @@ def oracle(model_code, params_path, gain_target, grid_path, want_integer, fmt, o
         model = ModelKind.from_code(model_code)
         grid = _grid_from_option(grid_path)
         solution = minimize_cost(model, efficiency, costs, gain_target, grid)
+        doc = solution.to_dict()
         if want_integer:
-            solution = solution.with_integer(integer_refine(solution, efficiency, costs, gain_target))
-        _emit(solution.to_dict(), fmt, output)
+            doc["integer"] = integer_refine(solution, efficiency, costs, gain_target).to_dict()
+        _emit(doc, fmt, output)
 
     _fail_on_econ_errors(body)
 
@@ -289,13 +288,9 @@ def sweep_cmd(model_code, params_path, vary, lo, hi, steps, gain_target, targets
                 "columns": list(table.columns),
                 "rows": [list(row) for row in table.rows],
             }
-            rendered = dumps(doc, indent=2) + "\n"
+            _emit(doc, fmt, output)
         else:
-            rendered = table.to_csv()
-        if output:
-            Path(output).write_text(rendered)
-        else:
-            _write(rendered)
+            _write(table.to_csv(), output)
 
     _fail_on_econ_errors(body)
 
@@ -317,14 +312,8 @@ def simulate_cmd(model_code, params_path, q, f, a, sigma, seed, n, output):
         efficiency, costs = load_params(params_path)
         strategy = Strategy(ModelKind.from_code(model_code), q, f, a)
         logs = simulate(strategy, efficiency, costs, sigma=sigma, seed=seed, n=n)
-        if output:
-            write_jsonl(logs, output)
-        else:
-            import io
-
-            buffer = io.StringIO()
-            write_jsonl(logs, buffer)
-            _write(buffer.getvalue())
+        # The stream as it is now, passed explicitly (see _write).
+        write_jsonl(logs, output or sys.stdout)
 
     _fail_on_econ_errors(body)
 

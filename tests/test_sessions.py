@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convecon import oracle
 from convecon import (
     ActionKind,
     CostParams,
@@ -22,6 +23,7 @@ from convecon import (
     fit_cost_params,
     fit_gain_params,
     gain,
+    minimize_cost,
     read_jsonl,
     simulate,
     viability,
@@ -387,8 +389,26 @@ class TestViability:
         verdict = viability(runaway, std_costs, 100.0, light_grid)
         assert verdict.not_comparable == ("m2",)
         assert verdict.cost_of("m2") is None
+        assert verdict.strategies["m2"] is None
         assert verdict.worthwhile["m2"] is False
         assert verdict.cheapest is M0
+
+    def test_reads_no_kkt_report(self, std_efficiency, std_costs, light_grid, monkeypatch):
+        # The verdict needs each model's strategy and cost, not a KKT report;
+        # both are each model's own minimize_cost answer, bit for bit.
+        expected = {
+            model.code: minimize_cost(model, std_efficiency, std_costs, 100.0, light_grid)
+            for model in ModelKind
+        }
+
+        def no_report(*args, **kwargs):
+            raise AssertionError("viability asked for a KKT report")
+
+        monkeypatch.setattr(oracle, "kkt_residual", no_report)
+        verdict = viability(std_efficiency, std_costs, 100.0, light_grid)
+        for code, solution in expected.items():
+            assert verdict.strategies[code] == solution.strategy
+            assert verdict.cost_of(code) == solution.total_cost
 
     def test_dict_shape(self, std_costs, light_grid):
         flat = EfficiencyParams(0.9, 0.3, 0.0, 0.0)

@@ -21,6 +21,7 @@ from convecon import (
     audit_claims,
     claim_registry,
     default_region,
+    minimize_cost,
     sweep,
 )
 from convecon.statics import AXIS_ORDER, DEFAULT_AUDIT_GRID, FORMULA_H, _draw_point, _outcomes, _perturbed
@@ -407,3 +408,20 @@ class TestSweep:
                 ModelKind.BASELINE, std_efficiency, std_costs,
                 "c_query", 1.0, 2.0, 2, 100.0, targets=("a9_star",),
             )
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda model: model.code)
+    def test_reads_no_kkt_report(self, model, std_efficiency, std_costs, light_grid, monkeypatch):
+        # A sweep prints no KKT report, so it must not build one; its oracle
+        # columns are each step's own minimize_cost answer, bit for bit.
+        expected = []
+        for value in np.linspace(5.0, 20.0, 4):
+            costs = CostParams(float(value), std_costs.c_feedback, std_costs.c_assess)
+            solution = minimize_cost(model, std_efficiency, costs, 100.0, light_grid)
+            expected.append((solution.strategy.f, solution.strategy.a, solution.total_cost, solution.achieved_gain))
+
+        def no_report(*args, **kwargs):
+            raise AssertionError("the sweep asked for a KKT report")
+
+        monkeypatch.setattr(oracle, "kkt_residual", no_report)
+        table = sweep(model, std_efficiency, std_costs, "c_query", 5.0, 20.0, 4, 100.0, grid=light_grid)
+        assert [row[-4:] for row in table.rows] == expected
