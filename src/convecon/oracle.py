@@ -11,12 +11,14 @@ The zoom search runs on a leading instance axis: K instances of one model
 and one pin kind are searched at once, their lattices stacked as
 (K, feedback, assessment) arrays, each instance with its own windows.
 :func:`_minimize_batch` is the one entry: it validates the instances and
-solves them in blocks of at most ``_BLOCK_NODES`` lattice nodes (at least
-one instance per block). At the audit grid (64 points) a block holds 8 joint
-searches or 512 one-axis searches; at the default grid (200 points) a joint
-search is alone. :func:`minimize_cost` is its one-instance call, and the
-audit passes it every perturbed sample of a claim at once. Every instance
-gets the bits its own K=1 call gives, by three rules:
+solves them in blocks sized by the nodes a round holds at once, at most
+``_BLOCK_NODES`` (at least one instance per block): one row of nodes per
+one-axis search and about four per joint search. At the audit grid (64
+points) a block holds 512 one-axis or 128 joint searches; at the default
+grid (200 points) 163 or 40, so a 25-step sweep is one block.
+:func:`minimize_cost` is its one-instance call, and the audit passes it
+every perturbed sample of a claim at once. Every instance gets the bits its
+own K=1 call gives, by three rules:
 
 * numpy computes ``x**0.5``, ``x**2`` and ``x**-1`` by sqrt, square and
   reciprocal only for a scalar exponent; a column of K exponents goes
@@ -31,32 +33,43 @@ gets the bits its own K=1 call gives, by three rules:
   the bits are the same, but arrays slow the lattice arithmetic down.
 
 A block of joint searches (a feedback model, no pin) whose full lattice has
-at least ``_PRUNE_NODES`` nodes (a lone search from 128 points per axis, 8
-searches from 46) evaluates only the feedback rows that can hold a round's
-least cost (:func:`_kept_rows`); a smaller block evaluates every row, which
-is cheaper there. Each round first bounds every row's least cost from below
-(:func:`_row_floors`: the row's continuous minimum over the assessment
-window, worked out from the model row in :mod:`convecon.core`, less a 1e-9
-relative slack) and evaluates the row with the lowest bound. That row's
-least cost is a lattice value, so no row whose bound exceeds it can hold
-the round's least cost or tie it. Each instance then evaluates one window
-of consecutive rows that covers the rows left, at its own offset, with a
-full lattice's arithmetic; so the incumbent, the tie-break, the corner
-flags and the :class:`Unbounded` check keep their bits (a neighbour row
-outside the window is costlier than the incumbent). The bound only chooses
-rows and never supplies an answer, and it uses :mod:`convecon.core`, never
-the closed forms. Every row is kept where subnormal values could lose the
-precision the slack assumes, and for an m1 instance whose exponent
-``1 / (gamma1*f + alpha)`` is 0.5 or 2 on some row: whether numpy takes its
-sqrt or square path there depends on the lattice's shape. A default-grid
-joint solve at the README parameters evaluates 1,600 to 3,000 nodes, not
-160,000. One-axis searches have a single row or column and evaluate it all.
+at least ``_PRUNE_NODES`` nodes (a lone search from 128 points per axis, 4
+searches at the audit grid) evaluates only the feedback rows that can hold
+a round's least cost (:func:`_kept_rows`); a smaller block evaluates every
+row, which is cheaper there. Each round first bounds every row's least cost
+from below (:func:`_row_floors`: the row's continuous minimum over the
+assessment window, worked out from the model row in :mod:`convecon.core`,
+less a 1e-9 relative slack) and evaluates the row with the lowest bound.
+That row's least cost is a lattice value, so no row whose bound exceeds it
+can hold the round's least cost or tie it. The round then evaluates exactly
+the kept rows (:func:`_lattices`): a lone search as a row index into its
+axes; a block as a ragged list of (instance, row) pairs, rows ascending
+within each instance, each pair a one-row lattice with its parameters and
+assessment axis gathered, in slices of whole instances and at most
+``_BLOCK_NODES`` nodes. Each instance's node is the least over its pairs by
+(cost, q, f, a), the first row among equals (:func:`_least_pairs`), which
+is the node its whole lattice gives; the :class:`Unbounded` check counts a
+neighbour row that was not evaluated as costlier, which its floor proves.
+So the incumbent, the tie-break, the corner flags and the check keep their
+bits. The bound only chooses rows and never supplies an answer, and it uses
+:mod:`convecon.core`, never the closed forms. Every row is kept where
+subnormal values could lose the precision the slack assumes, and for an m1
+instance whose exponent ``1 / (gamma1*f + alpha)`` is 0.5 or 2 on some row:
+whether numpy takes its sqrt or square path there depends on the lattice's
+shape (a lone search evaluates its full lattice then; a block's pairs take
+the full lattice's path). A default-grid joint solve at the README
+parameters evaluates 1,600 to 3,000 nodes, not 160,000; the seed-0 audit's
+m2 joint searches evaluate 17,513 rows, one probe per search and round and
+12,113 kept rows. One-axis searches have a single row or column and
+evaluate it all.
 
 Each zoom round writes its lattices into a workspace that the thread keeps
 (:func:`_workspace`): three lattice-sized buffers, reused across rounds and
 calls, so a round allocates no lattice. The arena grows only to three times
-the largest lattice the thread is asked for: at most 0.8 MB at the audit
-grid and 0.96 MB at the default grid, where every row is kept.
+the largest lattice or slice the thread is asked for: at most 0.8 MB
+(three ``_BLOCK_NODES`` slices) at the audit grid, and 0.96 MB at the
+default grid, where a lone search or an instance that keeps every row
+evaluates a full 200 x 200 lattice.
 
 The batch returns bare incumbents: the least-cost node's ``(q, f, a)`` and
 where the search ended (:class:`GridMeta`), or the instance's error. Only
@@ -113,7 +126,8 @@ __all__ = [
 
 _GRID_FIELDS = ("min", "max", "points", "refinements")
 
-# Lattice nodes searched at once: K instances of ``points ** searched`` nodes.
+# Lattice nodes a round holds at once: a block's instances and a slice of
+# its kept rows.
 _BLOCK_NODES = 2**15
 # A joint block evaluates only its kept rows (_kept_rows) when its full
 # lattice has at least this many nodes. Below that, bounding and probing the
@@ -365,25 +379,23 @@ def _shrink(window: tuple[float, float], center: float, spec: GridSpec) -> tuple
     return (10.0 ** max(g_lo, c - half), 10.0 ** min(g_hi, c + half))
 
 
-def _argmin_lex(total: np.ndarray, qv: np.ndarray, f_axis: np.ndarray, a_axis: np.ndarray) -> list[int]:
-    """Per instance, the flat index of the least cost, ties going to the
-    smallest (q, f, a); -1 where no node has a finite cost."""
+def _argmin_lex(total: np.ndarray, qv: np.ndarray, f_axis: np.ndarray, a_axis: np.ndarray) -> np.ndarray:
+    """Per lattice, the flat index of the least cost, ties going to the
+    smallest (q, f, a) and then to the first in (row, a) order; -1 where no
+    node has a finite cost."""
     flat = total.reshape(len(total), -1)
     index = flat.argmin(axis=1)
     best = flat[np.arange(len(flat)), index]
     is_best = flat == best[:, None]
-    # Counting per instance costs a pass over the lattice; skip it unless
-    # some instance has more than one least-cost node.
-    tied = is_best.sum(axis=1).tolist() if np.count_nonzero(is_best) > len(flat) else None
-    index = index.tolist()
-    for k, value in enumerate(best.tolist()):
-        if not math.isfinite(value):
-            index[k] = -1
-        elif tied is not None and tied[k] > 1:
+    # Counting per lattice costs a pass over it; skip that unless some
+    # lattice has more than one least-cost node.
+    if np.count_nonzero(is_best) > len(flat):
+        for k in np.flatnonzero((np.count_nonzero(is_best, axis=1) > 1) & (best < np.inf)).tolist():
             nodes = np.flatnonzero(is_best[k])
             f_idx, a_idx = np.divmod(nodes, a_axis.shape[1])
             order = np.lexsort((a_axis[k, a_idx], f_axis[k, f_idx], qv[k].ravel()[nodes]))
-            index[k] = int(nodes[order[0]])
+            index[k] = nodes[order[0]]
+    index[best == np.inf] = -1
     return index
 
 
@@ -508,31 +520,135 @@ def _row_floors(model, efficiency, costs, g, f_axis, a_axis):
 
 
 def _kept_rows(model, efficiency, costs, g, f_axis, a_axis):
-    """The feedback rows a joint round has to evaluate: per instance, a
-    window of consecutive rows holding every row that can hold the least
-    cost; returns each instance's first row and the (K, W) window axis.
+    """The feedback rows a joint round has to evaluate, as a (K, F) mask:
+    per instance, every row that can hold the round's least cost.
 
     Each instance first evaluates the row with the lowest floor
     (:func:`_row_floors`); that row's least cost ``U`` is a lattice value,
     so a row whose floor exceeds ``U`` can neither hold the round's least
     cost nor tie it. Where ``U`` is not finite or is at most
-    ``_FLOOR_TINY``, every row is kept. The window width ``W`` is the widest
-    instance's, each instance at its own offset.
+    ``_FLOOR_TINY``, every row is kept.
     """
-    size, rows = f_axis.shape
-    instance = np.arange(size)
     floors = _row_floors(model, efficiency, costs, g, f_axis, a_axis)
     probe = floors.argmin(axis=1)
-    _, probe_total = _evaluate(model, efficiency, costs, g, f_axis[instance, probe][:, None], a_axis)
+    _, probe_total = _evaluate(model, efficiency, costs, g, f_axis[np.arange(len(f_axis)), probe][:, None], a_axis)
     least = probe_total.min(axis=(1, 2))
     kept = floors <= least[:, None]
     kept[~((least > _FLOOR_TINY) & (least < np.inf))] = True
-    first = kept.argmax(axis=1)
-    width = int((rows - kept[:, ::-1].argmax(axis=1) - first).max())
-    if width == rows:
-        return [0] * size, f_axis
-    start = np.minimum(first, rows - width)
-    return start.tolist(), f_axis[instance[:, None], start[:, None] + np.arange(width)]
+    return kept
+
+
+def _lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
+    """A round's lattices: yields ``(owners, rows, f_rows, a_rows, qv,
+    total)`` per slice of the round.
+
+    Lattice ``i`` of the (M, R, A) ``qv`` and ``total`` belongs to instance
+    ``owners[i]`` (instance ``i`` where ``owners`` is None), with feedback
+    rows ``rows[i]`` (indices into the instance's feedback axis, ascending;
+    all of them where ``rows`` is None), feedback values ``f_rows[i]`` and
+    assessment axis ``a_rows[i]``. The arrays ``qv`` and ``total`` are
+    views of the thread's workspace, valid until the next slice.
+
+    With ``kept`` None, every row is evaluated as one lattice per instance.
+    Otherwise only the kept rows: at K=1 as a row index into the instance's
+    axes, and in a block as a ragged list of (instance, row) pairs, a
+    one-row lattice each, with their parameters and assessment axes
+    gathered per pair. A slice holds whole instances and at most
+    ``_BLOCK_NODES`` nodes, or one instance whose kept rows alone exceed
+    that (at most one full lattice, as a lone search evaluates).
+    """
+    size = len(f_axis)
+    if kept is None:
+        qv, total = _evaluate(model, efficiency, costs, g, f_axis, a_axis)
+        yield None, None, f_axis, a_axis, qv, total
+        return
+    if size == 1:
+        rows = np.flatnonzero(kept[0])
+        f_rows = f_axis[:, rows]
+        qv, total = _evaluate(model, efficiency, costs, g, f_rows, a_axis)
+        yield None, rows[None, :], f_rows, a_axis, qv, total
+        return
+    owners, rows = np.nonzero(kept)
+    cap = max(1, _BLOCK_NODES // a_axis.shape[1])
+    cuts, end = [0], 0
+    for stop in np.cumsum(kept.sum(axis=1)).tolist():
+        if stop - cuts[-1] > cap and end > cuts[-1]:
+            cuts.append(end)
+        end = stop
+    cuts.append(end)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        pair_owners = owners[lo:hi]
+        f_rows = f_axis[pair_owners, rows[lo:hi]][:, None]
+        a_rows = a_axis[pair_owners]
+        qv, total = _evaluate(
+            model, _gathered(efficiency, pair_owners), _gathered(costs, pair_owners), g, f_rows, a_rows,
+        )
+        yield pair_owners, rows[lo:hi, None], f_rows, a_rows, qv, total
+
+
+def _least_pairs(owners, index, total, qv, f_rows, a_rows) -> np.ndarray:
+    """Per instance, the one-row lattice (an (instance, row) pair) that
+    holds its least-cost node, given each pair's node ``index``
+    (:func:`_argmin_lex`); instances ascending.
+
+    The least over an instance's pairs by (cost, q, f, a), the first pair
+    among equals, is the node :func:`_argmin_lex` picks over the instance's
+    whole lattice: its pairs are in ascending row order.
+    """
+    pairs = np.arange(len(owners))
+    cost = total[pairs, 0, index]
+    cost[index < 0] = np.inf
+    order = np.lexsort((a_rows[pairs, index], f_rows[:, 0], qv[pairs, 0, index], cost, owners))
+    return order[np.r_[True, owners[order[1:]] != owners[order[:-1]]]]
+
+
+def _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, last):
+    """Evaluate one round (:func:`_lattices`); returns ``(k, node)`` for
+    each instance ``k``: ``node`` is None where no node has a finite cost,
+    else the least-cost node as ``(f_idx, a_idx)``, or in the ``last``
+    round as ``(f_idx, a_idx, q, f_falls, a_falls)``.
+
+    ``f_falls`` and ``a_falls`` say whether the cost falls toward the node
+    from the node before it on that axis; they are only worked out for a
+    node on the axis's last index and are False elsewhere. The node before
+    on the feedback axis is the lattice row before, or the previous
+    lattice's row where that is a pair of the same instance; it must be the
+    instance's previous feedback row. A feedback row the round left out has
+    a floor above the node's cost, so every node of it is costlier.
+    """
+    ragged = kept is not None and len(f_axis) > 1
+    last_row = f_axis.shape[1] - 1
+    nodes = []
+    for owners, rows, f_rows, a_rows, qv, total in _lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
+        index = _argmin_lex(total, qv, f_rows, a_rows)
+        lattices = instances = range(len(index))
+        if ragged:
+            chosen = _least_pairs(owners, index, total, qv, f_rows, a_rows)
+            index = index[chosen]
+            lattices, instances = chosen.tolist(), owners[chosen].tolist()
+        last_column = total.shape[2] - 1
+        for j, k, node in zip(lattices, instances, index.tolist()):
+            if node < 0:
+                nodes.append((k, None))
+                continue
+            i, a_idx = divmod(node, last_column + 1)
+            f_idx = i if rows is None else int(rows[j, i])
+            if not last:
+                nodes.append((k, (f_idx, a_idx)))
+                continue
+            here = total[j, i, a_idx]
+            f_falls = a_falls = False
+            if f_idx == last_row:
+                before = None
+                if i > 0 and (rows is None or rows[j, i - 1] == f_idx - 1):
+                    before = total[j, i - 1, a_idx]
+                elif i == 0 and ragged and j > 0 and owners[j - 1] == k and rows[j - 1, -1] == f_idx - 1:
+                    before = total[j - 1, -1, a_idx]
+                f_falls = before is None or bool(before > here)
+            if a_idx == last_column:
+                a_falls = bool(total[j, i, a_idx - 1] > here)
+            nodes.append((k, (f_idx, a_idx, float(qv[j, i, a_idx]), f_falls, a_falls)))
+    return nodes
 
 
 def _columns(params: Sequence) -> SimpleNamespace:
@@ -545,6 +661,11 @@ def _columns(params: Sequence) -> SimpleNamespace:
         field.name: np.array([getattr(p, field.name) for p in params]).reshape(-1, 1, 1)
         for field in fields(params[0])
     })
+
+
+def _gathered(columns: SimpleNamespace, owners: np.ndarray) -> SimpleNamespace:
+    """The parameter columns of :func:`_columns`, one row per owner."""
+    return SimpleNamespace(**{name: column[owners] for name, column in vars(columns).items()})
 
 
 def _pow_fast_path(model: ModelKind, efficiency: EfficiencyParams) -> bool:
@@ -630,15 +751,22 @@ def _minimize_batch(
     ``pin`` is None. Returns, in order, each
     instance's incumbent or the :class:`EconError` its search ends in, kept
     without a traceback; incumbents match their own K=1 calls bit for bit.
-    Instances are searched together in blocks of at most ``_BLOCK_NODES``
-    lattice nodes, and at least one instance.
+    Instances are searched together in blocks whose rounds hold at most
+    ``_BLOCK_NODES`` nodes at once, and at least one instance.
     """
     g = check_gain(g)
     if not isinstance(model, ModelKind):
         model = ModelKind.from_code(model)
     spec = grid if grid is not None else GridSpec()
-    searched = int(pin != "a") + int(model.uses_feedback and pin != "f")
-    cap = max(1, _BLOCK_NODES // spec.points ** searched)
+    # Searches per block: a one-axis round holds one row of nodes per
+    # search. A joint round holds its floors, a probe row and its kept rows
+    # (2.2 a round for the audit's m2 searches) with their gathered
+    # assessment axes; four rows a search is measured: with 512, 256 and
+    # 128 joint searches a block (the audit grid), the audit workload's
+    # peak RSS rose 6.1%, 3-4% and 2.2% over blocks of 8, at the same speed
+    # for 256 and 128.
+    rows = 4 if model.uses_feedback and pin is None else 1
+    cap = max(1, _BLOCK_NODES // (rows * spec.points))
 
     results: list = [None] * len(instances)
     blocks, pending = [], []
@@ -690,25 +818,20 @@ def _search(
     a_windows = [(spec.min, spec.max)] * size if a_fixed is None else None
 
     errors: list[Optional[EconError]] = [None] * size
-    best = [(0, 0)] * size
-    # Each instance's first evaluated feedback row; a large joint block
-    # evaluates only the rows _kept_rows keeps.
-    start = [0] * size
+    # Per instance, the round's least-cost node (_least_nodes).
+    best: list = [(0, 0)] * size
     prune = f_windows is not None and a_windows is not None and size * spec.points**2 >= _PRUNE_NODES
     for round_index in range(spec.refinements + 1):
         f_axis = f_fixed if f_windows is None else _log_axes(f_windows, spec.points)
         a_axis = a_fixed if a_windows is None else _log_axes(a_windows, spec.points)
-        f_rows = f_axis
-        if prune:
-            start, f_rows = _kept_rows(model, efficiency, costs, g, f_axis, a_axis)
-        qv, total = _evaluate(model, efficiency, costs, g, f_rows, a_axis)
-        for k, flat_idx in enumerate(_argmin_lex(total, qv, f_rows, a_axis)):
-            if flat_idx < 0:
+        kept = _kept_rows(model, efficiency, costs, g, f_axis, a_axis) if prune else None
+        last = round_index == spec.refinements
+        for k, node in _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, last):
+            if node is None:
                 # A valid input whose gain target no finite query count reaches.
                 errors[k] = errors[k] or NoInteriorOptimum("grid evaluation produced no finite cost")
             else:
-                row_idx, a_idx = divmod(flat_idx, a_axis.shape[1])
-                best[k] = (start[k] + row_idx, a_idx)
+                best[k] = node
         if all(errors):
             return errors
         if round_index < spec.refinements:
@@ -728,33 +851,26 @@ def _search(
         if errors[k] is not None:
             results.append(errors[k])
             continue
-        f_idx, a_idx = best[k]
-        surface = total[k]
-        row_idx = f_idx - start[k]
+        f_idx, a_idx, q, f_falls, a_falls = best[k]
         lower_corners = []
         if f_windows is not None:
-            if f_idx == f_axis.shape[1] - 1 and f_axis[k, -1] == spec.max:
-                # A row left out of the window has a floor above the
-                # incumbent's cost, so every node of it is costlier.
-                if row_idx == 0 or surface[row_idx - 1, a_idx] > surface[row_idx, a_idx]:
-                    results.append(Unbounded(
-                        "cost still decreasing at the upper grid bound on the feedback axis "
-                        f"(f = {spec.max}); the optimum lies outside the search box"
-                    ))
-                    continue
+            if f_idx == f_axis.shape[1] - 1 and f_axis[k, -1] == spec.max and f_falls:
+                results.append(Unbounded(
+                    "cost still decreasing at the upper grid bound on the feedback axis "
+                    f"(f = {spec.max}); the optimum lies outside the search box"
+                ))
+                continue
             if f_idx == 0 and f_axis[k, 0] == spec.min:
                 lower_corners.append("f")
         if a_windows is not None:
-            if a_idx == a_axis.shape[1] - 1 and a_axis[k, -1] == spec.max:
-                if surface[row_idx, a_idx - 1] > surface[row_idx, a_idx]:
-                    results.append(Unbounded(
-                        "cost still decreasing at the upper grid bound on the assessment axis "
-                        f"(a = {spec.max}); the optimum lies outside the search box"
-                    ))
-                    continue
+            if a_idx == a_axis.shape[1] - 1 and a_axis[k, -1] == spec.max and a_falls:
+                results.append(Unbounded(
+                    "cost still decreasing at the upper grid bound on the assessment axis "
+                    f"(a = {spec.max}); the optimum lies outside the search box"
+                ))
+                continue
             if a_idx == 0 and a_axis[k, 0] == spec.min:
                 lower_corners.append("a")
-        q = float(qv[k, row_idx, a_idx])
         if q == 0.0:
             results.append(NoInteriorOptimum(
                 f"the query count that reaches gain {g!r} underflows a float to 0"

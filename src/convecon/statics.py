@@ -407,25 +407,30 @@ def _oracle_values(
     return [None if isinstance(i, EconError) else _component(i, quantity, grid) for i in incumbents]
 
 
-def _outcomes(
-    values_at: Callable[[Sequence[SamplePoint]], _Values],
-    parameter: str,
-    points: Sequence[SamplePoint],
-    h: float,
-) -> list[_Outcome]:
-    """One central difference per sample on one route.
-
-    Every sample is perturbed once (a sample without a valid step is
-    skipped), the route is called once with every perturbed point, and each
-    sample's pair of values becomes its outcome; a sample is skipped when
-    either of its values is missing.
-    """
+def _steps(points: Sequence[SamplePoint], parameter: str, h: float) -> list:
+    """Every sample perturbed in ``parameter`` by the relative step ``h``
+    (:func:`_perturbed`), or None where the sample has no valid step."""
     steps = []
     for point in points:
         try:
             steps.append(_perturbed(point, parameter, h))
         except EconError:
             steps.append(None)
+    return steps
+
+
+def _outcomes(
+    values_at: Callable[[Sequence[SamplePoint]], _Values],
+    steps: Sequence,
+    h: float,
+) -> list[_Outcome]:
+    """One central difference per sample on one route, from the samples'
+    ``steps`` (:func:`_steps`).
+
+    The route is called once with every perturbed point, and each sample's
+    pair of values becomes its outcome; a sample is skipped when it has no
+    valid step or either of its values is missing.
+    """
     values = iter(values_at([p for step in steps if step is not None for p in step[1:]]))
     outcomes: list[_Outcome] = []
     for step in steps:
@@ -719,8 +724,9 @@ def audit_claims(
 
     Deterministic for fixed arguments: each sample gets its own spawned
     random substream, and aggregation order is fixed. Every sample is drawn
-    first; the claims then run one at a time, and each route evaluates all
-    of a claim's perturbed samples in one call.
+    first. The claims then run grouped by parameter: each sample is
+    perturbed once per parameter and step, and each route evaluates all of
+    a claim's perturbed samples in one call.
     """
     region = region if region is not None else default_region()
     grid = grid if grid is not None else DEFAULT_AUDIT_GRID
@@ -742,38 +748,47 @@ def audit_claims(
     streams = np.random.SeedSequence(seed).spawn(samples)
     points = [_draw_point(np.random.default_rng(stream), region) for stream in streams]
 
+    # Claims on one parameter share its perturbed points: each (parameter,
+    # step) is perturbed once, and one route's points are held at a time.
+    by_parameter: dict[str, list[Claim]] = {}
     for claim in registry:
-        tally = counts[claim.id]
-        signs: dict[str, list[Optional[str]]] = {}
+        by_parameter.setdefault(claim.parameter, []).append(claim)
+    for parameter, claims in by_parameter.items():
+        signs: dict[str, dict[str, list[Optional[str]]]] = {claim.id: {} for claim in claims}
         for route, h, values_at in routes:
-            signs[route] = []
-            for outcome in _outcomes(partial(values_at, claim.formula_variant), claim.parameter, points, h):
-                sign: Optional[str] = None
-                if outcome is None:
-                    tally[f"skipped_{route}"] += 1
-                else:
-                    sign, censored = outcome
-                    if censored or sign == SIGN_FLAT:
-                        tally[f"flat_{route}"] += 1
-                        sign = None
+            steps = _steps(points, parameter, h)
+            for claim in claims:
+                tally = counts[claim.id]
+                route_signs = signs[claim.id][route] = []
+                for outcome in _outcomes(partial(values_at, claim.formula_variant), steps, h):
+                    sign: Optional[str] = None
+                    if outcome is None:
+                        tally[f"skipped_{route}"] += 1
                     else:
-                        tally[f"n_{route}"] += 1
-                        if sign == claim.expected_sign:
-                            tally[f"holds_{route}"] += 1
-                signs[route].append(sign)
+                        sign, censored = outcome
+                        if censored or sign == SIGN_FLAT:
+                            tally[f"flat_{route}"] += 1
+                            sign = None
+                        else:
+                            tally[f"n_{route}"] += 1
+                            if sign == claim.expected_sign:
+                                tally[f"holds_{route}"] += 1
+                    route_signs.append(sign)
+            del steps
 
-        for point, formula_sign, oracle_sign in zip(points, signs["formula"], signs["oracle"]):
-            if (
-                formula_sign is not None
-                and formula_sign != claim.expected_sign
-                and len(counterexamples[claim.id]) < 5
-            ):
-                counterexamples[claim.id].append({
-                    "point": point.to_dict(),
-                    "expected": claim.expected_sign,
-                    "formula_sign": formula_sign,
-                    "oracle_sign": oracle_sign,
-                })
+        for claim in claims:
+            for point, formula_sign, oracle_sign in zip(points, signs[claim.id]["formula"], signs[claim.id]["oracle"]):
+                if (
+                    formula_sign is not None
+                    and formula_sign != claim.expected_sign
+                    and len(counterexamples[claim.id]) < 5
+                ):
+                    counterexamples[claim.id].append({
+                        "point": point.to_dict(),
+                        "expected": claim.expected_sign,
+                        "formula_sign": formula_sign,
+                        "oracle_sign": oracle_sign,
+                    })
 
     _collect_agreement(tallies, points, g, grid)
 

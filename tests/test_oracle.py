@@ -42,7 +42,8 @@ from convecon.closed_form import recover_q_value
 from convecon.core import cost_value, gain_value
 from convecon.errors import EconError, NoInteriorOptimum
 from convecon import oracle
-from convecon.oracle import _argmin_lex, _columns, _evaluate, _gradients, _log_axes, _minimize_batch
+from convecon.oracle import _Incumbent, _argmin_lex, _columns, _evaluate, _gradients, _log_axes, _minimize_batch
+from convecon.statics import audit_claims
 
 M0 = ModelKind.BASELINE
 M1 = ModelKind.FEEDBACK_FIRST
@@ -567,9 +568,35 @@ def test_argmin_lex_breaks_ties_by_smallest_q_f_a():
     f_axis = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [1.0, 2.0]])  # equal q: smaller f
     a_axis = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])  # then smaller a
     assert total.reshape(4, -1)[:3].argmin(axis=1).tolist() == [1, 0, 0]
-    assert _argmin_lex(total, qv, f_axis, a_axis) == [3, 3, 1, -1]
+    assert _argmin_lex(total, qv, f_axis, a_axis).tolist() == [3, 3, 1, -1]
     # Without a tie, the least cost wins outright.
-    assert _argmin_lex(total[:1] + np.arange(6.0).reshape(1, 2, 3), qv[:1], f_axis[:1], a_axis[:1]) == [1]
+    assert _argmin_lex(total[:1] + np.arange(6.0).reshape(1, 2, 3), qv[:1], f_axis[:1], a_axis[:1]).tolist() == [1]
+
+
+def test_least_pairs_pick_the_node_of_the_whole_lattice():
+    # Ragged (instance, row) pairs whose costs, q, f and a take few values,
+    # so least costs tie across rows and so do (q, f, a). The pair that
+    # holds each instance's least, and its column, are the node
+    # _argmin_lex picks over the instance's whole lattice, including the
+    # first row among equals; an instance with no finite cost gets -1.
+    rng = np.random.default_rng(20261025)
+    size, rows, columns = 6, 5, 4
+    for _ in range(200):
+        total = rng.integers(1, 4, (size, rows, columns)).astype(float)
+        total[0] = np.inf
+        qv = rng.integers(1, 3, total.shape).astype(float)
+        f_axis = rng.integers(1, 3, (size, rows)).astype(float)
+        a_axis = rng.integers(1, 3, (size, columns)).astype(float)
+        expected = _argmin_lex(total, qv, f_axis, a_axis).tolist()
+        # Every row holding the least cost is kept, and some others.
+        kept = (total.min(axis=2) == total.min(axis=(1, 2))[:, None]) | (rng.random((size, rows)) < 0.3)
+        owners, kept_rows = np.nonzero(kept)
+        pair_total, pair_q = total[owners, kept_rows][:, None, :], qv[owners, kept_rows][:, None, :]
+        f_rows, a_rows = f_axis[owners, kept_rows][:, None], a_axis[owners]
+        index = _argmin_lex(pair_total, pair_q, f_rows, a_rows)
+        chosen = oracle._least_pairs(owners, index, pair_total, pair_q, f_rows, a_rows)
+        assert owners[chosen].tolist() == list(range(size))
+        assert [-1 if index[j] < 0 else kept_rows[j] * columns + index[j] for j in chosen] == expected
 
 
 def test_log_axes_rows_match_scalar_logspace():
@@ -796,16 +823,32 @@ def _keep_every_row(model, efficiency, costs, g, f_axis, a_axis):
 
 
 def _count_rows(monkeypatch):
-    """Wrap ``_evaluate``; the list it returns gets each call's (rows, columns)."""
+    """Wrap ``_evaluate``; the list it returns gets each call's (feedback
+    rows over all its lattices, columns)."""
     calls = []
     evaluate = oracle._evaluate
 
     def counting(model, efficiency, costs, g, f_axis, a_axis):
-        calls.append((f_axis.shape[1], a_axis.shape[1]))
+        calls.append((f_axis.size, a_axis.shape[1]))
         return evaluate(model, efficiency, costs, g, f_axis, a_axis)
 
     monkeypatch.setattr(oracle, "_evaluate", counting)
     return calls
+
+
+def _count_kept(monkeypatch):
+    """Wrap ``_kept_rows``; the list it returns gets each pruned round's
+    kept-row count per instance."""
+    rounds = []
+    kept_rows = oracle._kept_rows
+
+    def counting(*args):
+        kept = kept_rows(*args)
+        rounds.append(kept.sum(axis=1).tolist())
+        return kept
+
+    monkeypatch.setattr(oracle, "_kept_rows", counting)
+    return rounds
 
 
 def _outcomes(results):
@@ -829,12 +872,13 @@ def test_row_floors_keep_every_incumbent_bit_for_bit(model, grid, monkeypatch):
         for g in (1e-300, 1e308, float(10.0 ** rng.uniform(-300.0, 300.0)), float(10.0 ** rng.uniform(0.0, 6.0))):
             jobs.append(([_wide_draw(rng, model) + (None,) for _ in range(size)], g))
     calls = _count_rows(monkeypatch)
+    rounds = _count_kept(monkeypatch)
     pruned = [_outcomes(_minimize_batch(model, instances, g, grid)) for instances, g in jobs]
-    # Each round evaluates its probe rows, then its window; many windows
-    # leave rows out.
-    windows = calls[1::2]
-    assert sum(rows < grid.points for rows, _ in windows) > len(windows) // 5
-    monkeypatch.setattr(oracle, "_row_floors", _keep_every_row)
+    # Each round evaluates one probe row per instance, then exactly its kept
+    # rows: no padding rows. Many rounds leave rows out.
+    assert sum(rows for rows, _ in calls) == sum(len(kept) + sum(kept) for kept in rounds)
+    assert sum(sum(kept) < len(kept) * grid.points for kept in rounds) > len(rounds) // 5
+    monkeypatch.setattr(oracle, "_PRUNE_NODES", math.inf)  # every row of every round
     full = [_outcomes(_minimize_batch(model, instances, g, grid)) for instances, g in jobs]
     assert pruned == full
     kinds = {outcome[0] if isinstance(outcome[0], str) else "incumbent" for batch in full for outcome in batch}
@@ -893,3 +937,151 @@ def test_default_grid_joint_solve_evaluates_few_nodes(model, g, std_efficiency, 
     calls = _count_rows(monkeypatch)
     minimize_cost(model, std_efficiency, std_costs, g)
     assert sum(rows * columns for rows, columns in calls) <= 4000
+
+
+# ---------------------------------------------------------------------------
+# Ragged kept rows: a block's joint rounds evaluate (instance, row) pairs
+
+
+def _count_slices(monkeypatch):
+    """Wrap ``_lattices``; the list it returns gets each pruned round's
+    slices, as (lattices, rows per lattice) shapes."""
+    rounds = []
+    lattices = oracle._lattices
+
+    def counting(model, efficiency, costs, g, f_axis, a_axis, kept):
+        if kept is not None:
+            rounds.append([])
+        for lattice in lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
+            if kept is not None:
+                rounds[-1].append(lattice[-1].shape[:2])
+            yield lattice
+
+    monkeypatch.setattr(oracle, "_lattices", counting)
+    return rounds
+
+
+def _unsound(scale):
+    """An instance whose prices are so small that its row floors are not
+    sound: it keeps every row."""
+    return EfficiencyParams(0.9, 0.3, 0.2, 0.4), CostParams(*(scale * p for p in (1.0, 2.0, 3.0)))
+
+
+@pytest.mark.parametrize("model", [M1, M2])
+def test_large_joint_block_matches_single_calls_bit_for_bit(model, monkeypatch):
+    # A full audit-grid block of joint searches, whose pruned rounds
+    # evaluate ragged kept rows in more than one slice, among random draws:
+    # instances that keep every row, the exponent-two instance, runaways
+    # and gains no finite (or no normal) query count reaches. Each must get
+    # the bits of its own one-instance call.
+    grid = GridSpec(points=64, refinements=2)
+    costs = CostParams(c_query=10.0, c_feedback=2.0, c_assess=1.0)
+    special = [_unsound(10.0 ** -exponent) for exponent in range(292, 300)] + [
+        (EfficiencyParams(0.5, 0.0271586695465435, 0.0, 0.0),
+         CostParams(27.77027915882111, 1433.8581173978196, 2.940159211015901)),
+        (EfficiencyParams(0.55, 0.3, 0.2, 0.8), costs),
+        (EfficiencyParams(0.5, 0.9, 0.0, 0.0), costs),
+        (EfficiencyParams(0.0068, 0.003, 0.1, 0.4), costs),
+        (EfficiencyParams(0.7, 0.3, 0.2, 0.4), costs),
+    ]
+    rng = np.random.default_rng(20261022)
+    pairs = [_sample_instance(rng)[:2] for _ in range(136 - len(special))]
+    for position, pair in zip(range(3, 136, 10), special):
+        pairs.insert(position, pair)
+    instances = [pair + (None,) for pair in pairs]
+    rounds = _count_slices(monkeypatch)
+    seen = set()
+    for g in (100.0, 3.2e10, 1e-300):
+        batch = _minimize_batch(model, instances, g, grid)
+        for (efficiency, costs, _), result in zip(instances, batch):
+            expected = _own_call(model, efficiency, costs, g, grid)
+            if isinstance(expected, EconError):
+                assert type(result) is type(expected)
+                assert str(result) == str(expected)
+            else:
+                _assert_incumbent_is(result, expected)
+            seen.add(type(expected))
+    assert {_Incumbent, Unbounded, NoInteriorOptimum} <= seen
+    # One-row lattices; some block keeps at least 128 searches and every
+    # row of seven, and some round takes more than one slice.
+    assert all(rows == 1 for slices in rounds for _, rows in slices)
+    assert max(sum(lattices for lattices, _ in slices) for slices in rounds) >= 128 + 7 * grid.points
+    assert max(len(slices) for slices in rounds) > 1
+
+
+def test_joint_batches_keep_the_workspace_within_three_blocks(monkeypatch):
+    # A block's kept rows are evaluated in slices of whole instances and at
+    # most _BLOCK_NODES nodes, so neither an audit's 400 joint solves (some
+    # keeping every row) nor a sweep's 25 default-grid steps grow the
+    # thread's arena past three slices. An instance whose kept rows alone
+    # exceed a slice (every row at the default grid) is a slice of its own,
+    # as large as a lone search's lattice. A new thread starts with an empty
+    # arena.
+    rng = np.random.default_rng(20261023)
+    instances = [_sample_instance(rng)[:2] + (None,) for _ in range(400)]
+    for position in range(0, 400, 25):
+        instances[position] = _unsound(1e-295) + (None,)
+    rounds = _count_slices(monkeypatch)
+    sizes = []
+
+    def run():
+        for model in (M1, M2):
+            _minimize_batch(model, instances, 100.0, GridSpec(points=64, refinements=2))
+            _minimize_batch(model, [instance for i, instance in enumerate(instances) if i % 25][:25], 100.0)
+        sizes.append(oracle._WORKSPACE.arena.size)
+        _minimize_batch(M2, instances[:25], 100.0)
+        sizes.append(oracle._WORKSPACE.arena.size)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert max(len(slices) for slices in rounds) > 1
+    assert sizes[0] <= 3 * oracle._BLOCK_NODES
+    assert sizes[1] <= 3 * 200 * 200
+
+
+@pytest.mark.parametrize("model", [M1, M2])
+def test_audit_grid_joint_block_allocates_no_lattice(model):
+    # A round of 128 joint searches allocates their axes, floors, probe
+    # rows' masks and gathered assessment axes, about a quarter of the
+    # block's full 128 x 64 x 64 lattice, and never the lattice itself.
+    rng = np.random.default_rng(20261024)
+    instances = [_sample_instance(rng)[:2] + (None,) for _ in range(128)]
+    grid = GridSpec(points=64, refinements=2)
+    _minimize_batch(model, instances, 100.0, grid)
+    tracemalloc.start()
+    try:
+        _minimize_batch(model, instances, 100.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 64 * 64 * 8 // 3
+
+
+def test_audit_feedback_after_rounds_evaluate_kept_rows_and_probes_only(monkeypatch):
+    # The seed-0 audit's m2 joint searches (four claims and the agreement
+    # rows, 1,800 solves) evaluate one probe row per search and round plus
+    # the rows that can hold its least cost; a window per instance, padded
+    # to the widest in its block, evaluated about 39,000.
+    rows = {"probes": 0, "kept": 0, "evaluated": 0}
+    kept_rows, lattices = oracle._kept_rows, oracle._lattices
+
+    def counting_kept(model, *args):
+        kept = kept_rows(model, *args)
+        if model is M2:
+            rows["probes"] += len(kept)
+            rows["kept"] += int(kept.sum())
+        return kept
+
+    def counting_lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
+        for lattice in lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
+            if model is M2 and kept is not None:
+                rows["evaluated"] += lattice[-1].shape[0] * lattice[-1].shape[1]
+            yield lattice
+
+    monkeypatch.setattr(oracle, "_kept_rows", counting_kept)
+    monkeypatch.setattr(oracle, "_lattices", counting_lattices)
+    audit_claims(samples=200, seed=0)
+    assert rows["probes"] == 5400  # 1,800 searches, 3 rounds each
+    assert rows["evaluated"] == rows["kept"]
+    assert rows["probes"] + rows["kept"] < 18_000

@@ -1,11 +1,12 @@
 """Comparative statics: claim registry, sign audit, agreement, sweeps."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from convecon import oracle
+from convecon import oracle, statics
 from convecon import (
     Claim,
     CostParams,
@@ -24,7 +25,9 @@ from convecon import (
     minimize_cost,
     sweep,
 )
-from convecon.statics import AXIS_ORDER, DEFAULT_AUDIT_GRID, FORMULA_H, _draw_point, _outcomes, _perturbed
+from convecon.statics import (
+    AXIS_ORDER, DEFAULT_AUDIT_GRID, FORMULA_H, ORACLE_H, _draw_point, _outcomes, _perturbed, _steps,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +155,8 @@ class TestSamplePoint:
 def _sign(evaluator, parameter, point):
     """The sign of one central difference, through the audit's route helper,
     on a route that evaluates ``evaluator`` unclamped at every point."""
-    [outcome] = _outcomes(lambda points: [(evaluator(p), False) for p in points], parameter, [point], FORMULA_H)
+    steps = _steps([point], parameter, FORMULA_H)
+    [outcome] = _outcomes(lambda points: [(evaluator(p), False) for p in points], steps, FORMULA_H)
     return outcome[0]
 
 
@@ -181,7 +185,9 @@ class TestFiniteDiffSign:
         at_zero = point.with_param("gamma1", 0.0)
         with pytest.raises(DomainError, match="gamma1"):
             _perturbed(at_zero, "gamma1", FORMULA_H)
-        assert _outcomes(lambda points: [(1.0, False)] * len(points), "gamma1", [at_zero], FORMULA_H) == [None]
+        steps = _steps([at_zero], "gamma1", FORMULA_H)
+        assert steps == [None]
+        assert _outcomes(lambda points: [(1.0, False)] * len(points), steps, FORMULA_H) == [None]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +235,22 @@ class TestAuditClaims:
         assert row.fraction_holding_oracle is None
         assert row.flat_oracle + row.skipped_oracle == 60
         assert row.claim.informational
+
+    def test_perturbs_each_parameter_and_step_once(self, monkeypatch):
+        # Claims on one parameter share its perturbed samples: 16 (parameter,
+        # step) pairs, not one per claim and route.
+        calls = []
+        perturbed = statics._perturbed
+
+        def counting(point, parameter, h):
+            calls.append((parameter, h))
+            return perturbed(point, parameter, h)
+
+        monkeypatch.setattr(statics, "_perturbed", counting)
+        audit_claims(samples=10, seed=3)
+        pairs = {(claim.parameter, h) for claim in claim_registry() for h in (FORMULA_H, ORACLE_H)}
+        assert len(pairs) == 16
+        assert Counter(calls) == dict.fromkeys(pairs, 10)
 
     def test_counterexamples_record_signs_and_point(self, small_audit):
         example = small_audit.claim("M1-4").counterexamples[0]
