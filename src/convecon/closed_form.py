@@ -29,9 +29,8 @@ from .core import (
     EfficiencyParams,
     ModelKind,
     Strategy,
-    _model_row,
-    _query_exponent,
     check_gain,
+    recover_q_value,
 )
 from .errors import Diverged, DomainError, NoInteriorOptimum
 
@@ -47,7 +46,6 @@ __all__ = [
     "f2_star",
     "f2_star_coupled",
     "recover_q",
-    "recover_q_value",
     "solve_model0",
     "model1_solve",
     "solve_model2_partial",
@@ -206,19 +204,6 @@ def f2_star_coupled(a: float, efficiency: EfficiencyParams, costs: CostParams) -
     return _clamp_floor(raw)
 
 
-def recover_q_value(model: ModelKind, g, f, a, efficiency: EfficiencyParams):
-    """Query count pinned by the gain floor; raw arithmetic, array-safe.
-
-    ``(g / ((1 + f)**(repeat*gamma2) * a**beta)) ** (1 / (lift*gamma1*f + alpha))``
-    from the model's table row.
-    """
-    row = _model_row(model)
-    scale = a ** efficiency.beta
-    if row.repeat:
-        scale = (1.0 + f) ** efficiency.gamma2 * scale
-    return (g / scale) ** (1.0 / _query_exponent(row, f, efficiency))
-
-
 def recover_q(
     g: float, f: float, a: float, model: ModelKind, efficiency: EfficiencyParams
 ) -> float:
@@ -234,10 +219,7 @@ def recover_q(
         raise DomainError("a must be > 0 to recover a query count")
     if f < 0.0:
         raise DomainError("f must be >= 0")
-    try:
-        q = float(recover_q_value(model, g, f, a, efficiency))
-    except OverflowError:
-        q = math.inf
+    q = float(recover_q_value(model, g, f, a, efficiency))
     if not math.isfinite(q):
         raise NoInteriorOptimum(
             f"no finite query count reaches gain {g} at f={f}, a={a} "

@@ -48,6 +48,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple, Union
 
+import numpy as np
+
 from ._jsonio import check_keys, load_json_file, named
 from .errors import DomainError
 
@@ -61,6 +63,7 @@ __all__ = [
     "cost",
     "gain_value",
     "cost_value",
+    "recover_q_value",
     "check_gain",
     "load_params",
     "params_to_mapping",
@@ -112,12 +115,6 @@ def _model_row(model: ModelKind) -> _ModelRow:
         raise DomainError(f"unknown model {model!r}")
     return _MODEL_TABLE[model]
 
-
-# The two helpers below, and recover_q_value, leave a switched-off term out
-# instead of multiplying it by zero. numpy takes x**0.5, x**2 and x**-1
-# through sqrt, square and reciprocal only for a scalar exponent, so an
-# array of alphas would move last bits; and a factor of ones would add
-# lattice-sized temporaries to the oracle.
 
 def _query_exponent(row: _ModelRow, f, efficiency: EfficiencyParams):
     """``gamma1 * f + alpha`` where feedback lifts it, else plain ``alpha``."""
@@ -266,6 +263,23 @@ def cost_value(model: ModelKind, q, f, a, costs: CostParams):
         + (q * f) * costs.c_feedback
         + _assessments(row, q, f, a) * costs.c_assess
     )
+
+
+def recover_q_value(model: ModelKind, g, f, a, efficiency: EfficiencyParams):
+    """Query count pinned by the gain floor; raw arithmetic, array-safe.
+
+    ``exp((log g - beta*log a - repeat*gamma2*log1p f) / (lift*gamma1*f + alpha))``
+    from the model's table row; inf where the count overflows and 0 where it
+    underflows. numpy's ``log``, ``log1p`` and ``exp`` run on scalars too, so
+    a count for plain floats has the bits of the same node in the oracle's
+    lattice (``math.log`` and ``math.exp`` can differ in the last bit).
+    """
+    row = _model_row(model)
+    with np.errstate(over="ignore", under="ignore"):
+        log_q = np.log(g) - efficiency.beta * np.log(a)
+        if row.repeat:
+            log_q = log_q - efficiency.gamma2 * np.log1p(f)
+        return np.exp(log_q / _query_exponent(row, f, efficiency))
 
 
 def gain(strategy: Strategy, efficiency: EfficiencyParams) -> float:

@@ -20,10 +20,9 @@ grid (200 points) 163 or 40, so a 25-step sweep is one block.
 every perturbed sample of a claim at once. Every instance gets the bits its
 own K=1 call gives, by three rules:
 
-* numpy computes ``x**0.5``, ``x**2`` and ``x**-1`` by sqrt, square and
-  reciprocal only for a scalar exponent; a column of K exponents goes
-  through pow, which can differ in the last bit. An instance whose K=1
-  lattice raises to one of those values as a scalar is searched alone.
+* the query count is taken in log space by numpy's elementwise ``log``,
+  ``log1p`` and ``exp`` (:func:`~convecon.core.recover_q_value`), whose
+  bits do not depend on the lattice's shape;
 * window shrinking stays in :mod:`math`, one instance at a time
   (``np.log10`` and ``np.power`` can differ from ``math.log10`` and
   ``10.0 **`` in the last bit); the axes are built with numpy logspace's
@@ -53,15 +52,11 @@ neighbour row that was not evaluated as costlier, which its floor proves.
 So the incumbent, the tie-break, the corner flags and the check keep their
 bits. The bound only chooses rows and never supplies an answer, and it uses
 :mod:`convecon.core`, never the closed forms. Every row is kept where
-subnormal values could lose the precision the slack assumes, and for an m1
-instance whose exponent ``1 / (gamma1*f + alpha)`` is 0.5 or 2 on some row:
-whether numpy takes its sqrt or square path there depends on the lattice's
-shape (a lone search evaluates its full lattice then; a block's pairs take
-the full lattice's path). A default-grid joint solve at the README
-parameters evaluates 1,600 to 3,000 nodes, not 160,000; the seed-0 audit's
-m2 joint searches evaluate 17,513 rows, one probe per search and round and
-12,113 kept rows. One-axis searches have a single row or column and
-evaluate it all.
+subnormal values could lose the precision the slack assumes. A default-grid
+joint solve at the README parameters evaluates 1,600 to 3,000 nodes, not
+160,000; the seed-0 audit's m2 joint searches evaluate 17,513 rows, one
+probe per search and round and 12,113 kept rows. One-axis searches have a
+single row or column and evaluate it all.
 
 Each zoom round writes its lattices into a workspace that the thread keeps
 (:func:`_workspace`): three lattice-sized buffers, reused across rounds and
@@ -93,10 +88,9 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ._jsonio import check_keys, named
-from .closed_form import ClosedFormSolution, recover_q_value
+from .closed_form import ClosedFormSolution
 # cost_value is not called here; it stays a module name because the
-# benchmark's tracer rebinds ``oracle.recover_q_value`` and
-# ``oracle.cost_value``.
+# benchmark's tracer rebinds ``oracle.cost_value``.
 from .core import (
     CostParams,
     EfficiencyParams,
@@ -110,6 +104,7 @@ from .core import (
     cost,
     cost_value,
     gain,
+    recover_q_value,
 )
 from .errors import DomainError, EconError, Infeasible, NoInteriorOptimum, Unbounded
 
@@ -138,16 +133,19 @@ _PRUNE_NODES = 2**14
 # Per thread, the flat float64 arena behind _workspace's lattice buffers.
 _WORKSPACE = threading.local()
 
-# Exponents numpy computes by sqrt, square and reciprocal when it holds
-# them fixed, instead of by pow.
-_SPECIAL_EXPONENTS = (0.5, 2.0, -1.0)
-
 # A row floor is lowered by this relative slack, far above the rounding of
 # the lattice arithmetic, so no lattice node of the row costs less.
 _FLOOR_SLACK = 1e-9
 # Values at or below this may be subnormal somewhere in the lattice
 # arithmetic, where the slack no longer covers the lost precision.
 _FLOOR_TINY = 1e-290
+
+# integer_refine also offers the integer below a recovered query count that
+# exceeds it by at most this relative amount. Below 2**53, where integers
+# are distinct floats, |log q| < 36.8, so each rounding of log q moves
+# exp(log q) by at most 36.8 * 2**-53 = 4.1e-15 relative; this allows two
+# such roundings and exp's own.
+_Q_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -425,36 +423,33 @@ def _evaluate(model, efficiency, costs, g, f_axis, a_axis):
     ``f_axis`` and ``a_axis`` hold one axis per instance, (K, F) and (K, A);
     returns (q, total) arrays of instances by feedback rows by assessment
     columns, views of the thread's workspace. The arithmetic is
-    :func:`~convecon.closed_form.recover_q_value` and then
+    :func:`~convecon.core.recover_q_value` and then
     :func:`~convecon.core.cost_value`, operation for operation, each written
-    into a workspace buffer; a scalar power is an in-place ``**=``, so it
-    takes the operator's sqrt/square/reciprocal fast path where ``x ** p``
-    would. Non-finite costs become ``inf``.
+    into a workspace buffer. Non-finite costs become ``inf``.
     """
     row = _model_row(model)
     fcol = f_axis[:, :, None]
     arow = a_axis[:, None, :]
     qv, total, scratch = _workspace((len(f_axis), f_axis.shape[1], a_axis.shape[1]))
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        # q = (g / ((1 + f)**(repeat*gamma2) * a**beta)) ** (1 / exponent)
-        scale = _front(total, arow.shape)
-        np.copyto(scale, arow)
-        scale **= efficiency.beta
+        # q = exp((log g - beta*log a - repeat*gamma2*log1p f) / exponent)
+        log_q = _front(total, arow.shape)
+        np.log(arow, out=log_q)
+        np.multiply(efficiency.beta, log_q, out=log_q)
+        np.subtract(np.log(g), log_q, out=log_q)
         if row.repeat:
             passes = _front(scratch, fcol.shape)
-            np.add(1.0, fcol, out=passes)
-            passes **= efficiency.gamma2
-            scale = np.multiply(passes, scale, out=qv)
+            np.log1p(fcol, out=passes)
+            np.multiply(efficiency.gamma2, passes, out=passes)
+            log_q = np.subtract(log_q, passes, out=qv)
         if row.lift:
-            inverse = _front(scratch, fcol.shape)
-            np.multiply(efficiency.gamma1, fcol, out=inverse)
-            np.add(inverse, efficiency.alpha, out=inverse)
-            np.divide(1.0, inverse, out=inverse)
-            np.divide(g, scale, out=scale)
-            np.power(scale, inverse, out=qv)
+            exponent = _front(scratch, fcol.shape)
+            np.multiply(efficiency.gamma1, fcol, out=exponent)
+            np.add(exponent, efficiency.alpha, out=exponent)
+            np.divide(log_q, exponent, out=qv)
         else:
-            np.divide(g, scale, out=qv)
-            qv **= 1.0 / efficiency.alpha
+            np.divide(log_q, efficiency.alpha, out=qv)
+        np.exp(qv, out=qv)
         # total = q*c_query + (q*f)*c_feedback + assessments*c_assess
         np.multiply(qv, costs.c_query, out=total)
         np.multiply(qv, fcol, out=scratch)
@@ -486,37 +481,25 @@ def _row_floors(model, efficiency, costs, g, f_axis, a_axis):
     ``_FLOOR_SLACK``.
 
     A row's floor is 0, so that the row is always evaluated, where the
-    floor is not finite, or where it, the row's least ``g / scale`` or
-    ``min(1, q) * min(1, f, a)`` (at the row's least ``q`` and the window's
-    least ``a``) is at most ``_FLOOR_TINY``.
+    floor is not finite, or where it or ``min(1, q) * min(1, f, a)`` (at the
+    row's least ``q`` and the window's least ``a``) is at most
+    ``_FLOOR_TINY``.
     """
     row = _model_row(model)
     f = f_axis[:, :, None]
     lo, hi = a_axis[:, None, :1], a_axis[:, None, -1:]
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        exponent = _query_exponent(row, f, efficiency)
-        inverse = 1.0 / exponent
-        ratio = efficiency.beta / exponent
+        ratio = efficiency.beta / _query_exponent(row, f, efficiency)
         fixed = costs.c_query + f * costs.c_feedback
         per_a = (1.0 + f) * costs.c_assess if row.repeat else costs.c_assess
         turn = ratio * fixed / ((1.0 - ratio) * per_a)
         a = np.where(ratio < 1.0, np.minimum(np.maximum(turn, lo), hi), hi)
-        passes = (1.0 + f) ** efficiency.gamma2 if row.repeat else 1.0
-        floor = (g / (passes * a ** efficiency.beta)) ** inverse * (fixed + per_a * a)
+        floor = recover_q_value(model, g, f, a, efficiency) * (fixed + per_a * a)
         floor *= 1.0 - _FLOOR_SLACK
-        least_x = g / (passes * hi ** efficiency.beta)
-        least_q = least_x ** inverse
-        smallest = np.minimum(least_x, np.minimum(least_q, 1.0) * np.minimum(np.minimum(f, lo), 1.0))
+        least_q = recover_q_value(model, g, f, hi, efficiency)
+        smallest = np.minimum(least_q, 1.0) * np.minimum(np.minimum(f, lo), 1.0)
         sound = np.isfinite(floor) & (floor > _FLOOR_TINY) & (smallest > _FLOOR_TINY)
-    floors = np.where(sound, floor, 0.0)[:, :, 0]
-    if row.lift:
-        # _evaluate raises to these reciprocals as an array. numpy computes
-        # a special exponent by square, sqrt or reciprocal only where its
-        # inner loop holds the exponent fixed, and which loop it runs
-        # depends on the lattice's shape; so such an instance keeps every
-        # row, and the lattice shape of a full search.
-        floors[(inverse == np.array(_SPECIAL_EXPONENTS)).any(axis=(1, 2))] = 0.0
-    return floors
+    return np.where(sound, floor, 0.0)[:, :, 0]
 
 
 def _kept_rows(model, efficiency, costs, g, f_axis, a_axis):
@@ -668,26 +651,6 @@ def _gathered(columns: SimpleNamespace, owners: np.ndarray) -> SimpleNamespace:
     return SimpleNamespace(**{name: column[owners] for name, column in vars(columns).items()})
 
 
-def _pow_fast_path(model: ModelKind, efficiency: EfficiencyParams) -> bool:
-    """Whether a lone lattice of this instance raises to an exponent numpy
-    special-cases.
-
-    Given float parameters, ``recover_q_value`` raises to ``beta``, to
-    ``gamma2`` where feedback repeats the pass, and to ``1 / alpha`` where
-    feedback does not lift the query exponent as scalars (a lifted exponent
-    is an array over ``f``). numpy computes a scalar 0.5, 2 or -1 by sqrt,
-    square or reciprocal; in a column of K exponents it uses pow, which can
-    differ in the last bit.
-    """
-    row = _model_row(model)
-    exponents = [efficiency.beta]
-    if row.repeat:
-        exponents.append(efficiency.gamma2)
-    if not row.lift:
-        exponents.append(1.0 / efficiency.alpha)
-    return any(value in _SPECIAL_EXPONENTS for value in exponents)
-
-
 def _check_pin(model: ModelKind, pin: Optional[str], value) -> None:
     if pin == "f":
         if not model.uses_feedback:
@@ -769,19 +732,16 @@ def _minimize_batch(
     cap = max(1, _BLOCK_NODES // (rows * spec.points))
 
     results: list = [None] * len(instances)
-    blocks, pending = [], []
-    for i, (efficiency, _, value) in enumerate(instances):
+    pending = []
+    for i, (_, _, value) in enumerate(instances):
         try:
             _check_pin(model, pin, value)
         except DomainError as exc:
             results[i] = exc.with_traceback(None)
             continue
-        if _pow_fast_path(model, efficiency):
-            blocks.append([i])
-        else:
-            pending.append(i)
-    blocks += [pending[start:start + cap] for start in range(0, len(pending), cap)]
-    for block in blocks:
+        pending.append(i)
+    for start in range(0, len(pending), cap):
+        block = pending[start:start + cap]
         solved = _search(model, [instances[i] for i in block], g, spec, pin)
         for i, result in zip(block, solved):
             results[i] = result
@@ -902,7 +862,9 @@ def integer_refine(
     assessments at least 1, feedback at least 0). For every
     feedback/assessment pair, the query count that exactly meets the floor is
     rounded up and offered as an extra candidate, so a feasible point exists
-    whenever the floor is attainable at all. Candidates must reach the gain
+    whenever the floor is attainable at all; so is the integer below it where
+    the recovered count exceeds that integer only by its rounding
+    (``_Q_ROUNDING``). Candidates must reach the gain
     floor (to within a 1e-12 relative slack for float rounding); ties on cost
     go to the lexicographically smallest counts. A candidate whose gain
     overflows a float raises :class:`NoInteriorOptimum`.
@@ -923,13 +885,11 @@ def integer_refine(
     slack = 1.0 - 1e-12
     for f in f_candidates:
         for a in a_candidates:
-            try:
-                q_exact = float(recover_q_value(model, g, float(f), float(a), efficiency))
-            except OverflowError:
-                q_exact = float("inf")
+            q_exact = float(recover_q_value(model, g, float(f), float(a), efficiency))
             options = set(q_candidates)
             if math.isfinite(q_exact):
                 options.add(max(1, math.ceil(q_exact)))
+                options.add(max(1, math.ceil(q_exact * (1.0 - _Q_ROUNDING))))
             for q in sorted(options):
                 candidate = Strategy(model, q=float(q), f=float(f), a=float(a))
                 try:

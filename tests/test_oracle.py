@@ -38,8 +38,7 @@ from convecon import (
     solve_model0,
     solutions_for,
 )
-from convecon.closed_form import recover_q_value
-from convecon.core import cost_value, gain_value
+from convecon.core import cost_value, gain_value, recover_q_value
 from convecon.errors import EconError, NoInteriorOptimum
 from convecon import oracle
 from convecon.oracle import _Incumbent, _argmin_lex, _columns, _evaluate, _gradients, _log_axes, _minimize_batch
@@ -325,8 +324,10 @@ def _neighborhood_best(base, efficiency, costs, g):
 
     Floor/ceil combinations of each component, plus, for every
     feedback/depth pair, the query count re-solved upward to the next
-    integer that meets the floor. Returns the least-cost feasible row with
-    lexicographic tie-breaking, as (cost, q, f, a).
+    integer that meets the floor, and the integer below it where the
+    re-solved count exceeds that by at most 1e-14 relative. Returns the
+    least-cost feasible row with lexicographic tie-breaking, as
+    (cost, q, f, a).
     """
 
     def around(center, lo):
@@ -340,6 +341,7 @@ def _neighborhood_best(base, efficiency, costs, g):
             resolved = recover_q(g, float(f), float(a), base.model, efficiency)
             if math.isfinite(resolved):
                 q_options.add(max(1, math.ceil(resolved)))
+                q_options.add(max(1, math.ceil(resolved * (1.0 - 1e-14))))
             for q in sorted(q_options):
                 candidate = Strategy(base.model, float(q), float(f), float(a))
                 if gain(candidate, efficiency) >= g * (1.0 - 1e-12):
@@ -369,6 +371,16 @@ class TestIntegerRefine:
         refined = integer_refine(Strategy(M0, 2500.0, 0.0, 5.0), efficiency, costs, 100.0)
         assert (refined.strategy.q, refined.strategy.a) == (2000.0, 5.0)
         assert refined.total_cost == 30000.0
+
+    def test_offers_the_count_rounding_pushed_one_ulp_above(self):
+        # At a = 3 the count that meets gain 3 is exactly 3, and its
+        # recovery can round to 3.0000000000000004, whose ceiling is 4
+        # (cost 52). q = 3 (cost 39) meets the floor within the slack.
+        efficiency = EfficiencyParams(0.5, 0.5)
+        costs = CostParams(10.0, 2.0, 1.0)
+        refined = integer_refine(Strategy(M0, 300.0, 0.0, 3.0), efficiency, costs, 3.0)
+        assert (refined.strategy.q, refined.strategy.f, refined.strategy.a) == (3.0, 0.0, 3.0)
+        assert refined.total_cost == 39.0
 
     def test_cost_ties_break_lexicographically(self):
         # With unit prices the cost is q * (1 + a); (3,0,3) and (4,0,2) are
@@ -530,6 +542,14 @@ def test_gradients_match_central_differences(model):
 # Batched search: every instance gets the bits of its own call
 
 
+# gamma1 0 and alpha 0.5 give every m1 row the round exponent
+# 1 / (gamma1*f + alpha) = 2.
+_EXPONENT_TWO = (
+    EfficiencyParams(0.5, 0.0271586695465435, 0.0, 0.0),
+    CostParams(27.77027915882111, 1433.8581173978196, 2.940159211015901),
+)
+
+
 def _batch_instances():
     """(efficiency, costs) pairs mixing random draws with the cases that
     could part a batch from its single calls."""
@@ -537,14 +557,13 @@ def _batch_instances():
     instances = [_sample_instance(rng)[:2] for _ in range(5)]
     costs = CostParams(c_query=10.0, c_feedback=2.0, c_assess=1.0)
     for alpha, beta, gamma1, gamma2 in (
-        # Exponents numpy computes by sqrt, square or reciprocal when they
-        # are scalars: 1/alpha = 2, beta = 0.5, gamma2 = 0.5.
+        # Round exponents: 1/alpha = 2, beta = 0.5, gamma2 = 0.5.
         (0.5, 0.3, 0.2, 0.1),
         (0.9, 0.5, 0.2, 0.3),
         (0.9, 0.3, 0.2, 0.5),
         # No finite query count reaches the larger gain target.
         (0.0068, 0.003, 0.1, 0.4),
-        # Unbounded for m2 (gamma2 >= alpha); the first is also a fast path.
+        # Unbounded for m2 (gamma2 >= alpha); the first also has 1/alpha = 2.
         (0.5, 0.3, 0.2, 0.8),
         (0.55, 0.3, 0.2, 0.8),
     ):
@@ -627,16 +646,27 @@ def _assert_incumbent_is(incumbent, expected):
 ], ids=["audit-grid", "default-grid", "collapsing-windows"])
 @pytest.mark.parametrize("pin", [None, "f", "a"])
 @pytest.mark.parametrize("model", [M0, M1, M2])
-def test_batch_matches_single_calls_bit_for_bit(model, pin, grid):
+def test_batch_matches_single_calls_bit_for_bit(model, pin, grid, monkeypatch):
     pairs = _batch_instances()
     values = np.exp(np.random.default_rng(7).uniform(np.log(0.5), np.log(30.0), len(pairs)))
     instances = [(efficiency, costs, float(value)) for (efficiency, costs), value in zip(pairs, values)]
     if pin == "f":
         instances[0] = instances[0][:2] + (0.0,)
+    searches = []
+    search = oracle._search
+
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_search", counting)
     seen = set()
     for g in (100.0, 3.2e10):
+        searches.clear()
         batch = _minimize_batch(model, instances, g, grid, pin=pin)
         assert len(batch) == len(instances)
+        # One block: the round exponents do not part an instance from it.
+        assert len(searches) <= 1
         for (efficiency, costs, value), result in zip(instances, batch):
             expected = _own_call(model, efficiency, costs, g, grid, pin, value)
             if isinstance(expected, EconError):
@@ -650,6 +680,30 @@ def test_batch_matches_single_calls_bit_for_bit(model, pin, grid):
         assert seen == {DomainError}  # a pinned f applies only to feedback models
     elif model is not M1 and pin is None:
         assert NoInteriorOptimum in seen
+
+
+@pytest.mark.parametrize("model", [M0, M1, M2])
+def test_scalar_recover_q_matches_lattice_bit_for_bit(model):
+    # recover_q_value on plain floats gives the bits of the same node of
+    # _evaluate's lattice, alone and in a block, at overflowing and
+    # underflowing counts too.
+    pairs = _batch_instances() + [_EXPONENT_TWO]
+    rng = np.random.default_rng(20261026)
+    windows = [tuple(sorted(np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 2)))) for _ in range(2 * len(pairs))]
+    f_axis = _log_axes(windows[:len(pairs)], 16) if model.uses_feedback else np.zeros((len(pairs), 1))
+    a_axis = _log_axes(windows[len(pairs):], 16)
+    efficiencies = _columns([pair[0] for pair in pairs])
+    costs = _columns([pair[1] for pair in pairs])
+    for g in (100.0, 3.2e10, 1e-300):
+        block_q = _evaluate(model, efficiencies, costs, g, f_axis, a_axis)[0].copy()
+        for k, (efficiency, instance_costs) in enumerate(pairs):
+            lone_q = _evaluate(model, efficiency, instance_costs, g, f_axis[k:k + 1], a_axis[k:k + 1])[0]
+            scalar = [
+                [float(recover_q_value(model, g, float(f), float(a), efficiency)).hex() for a in a_axis[k]]
+                for f in f_axis[k]
+            ]
+            assert [[v.hex() for v in row] for row in lone_q[0].tolist()] == scalar
+            assert [[v.hex() for v in row] for row in block_q[k].tolist()] == scalar
 
 
 @pytest.mark.parametrize("model", [M0, M1, M2])
@@ -696,8 +750,7 @@ def test_evaluate_matches_operator_spelling_bit_for_bit(model, size, points):
     rng = np.random.default_rng(20261019)
     costs = CostParams(c_query=10.0, c_feedback=2.0, c_assess=1.0)
     leads = [_sample_instance(rng)[:2]] + [
-        # 1/alpha = 2 and 1, beta = 0.5, gamma2 = 0.5: the scalar powers
-        # numpy may special-case.
+        # Round exponents: 1/alpha = 2 and 1, beta = 0.5, gamma2 = 0.5.
         (EfficiencyParams(alpha, beta, 0.2, gamma2), costs)
         for alpha, beta, gamma2 in ((0.5, 0.3, 0.1), (1.0, 0.3, 0.4), (0.9, 0.5, 0.3), (0.9, 0.3, 0.5))
     ] + [
@@ -888,12 +941,9 @@ def test_row_floors_keep_every_incumbent_bit_for_bit(model, grid, monkeypatch):
 
 
 @pytest.mark.parametrize("model,efficiency,costs,g,grid", [
-    # gamma1 0 and alpha 0.5 lift every m1 row to the exponent 2: numpy
-    # squares a one-row window where the full 7 x 7 lattice goes through
-    # pow, and the two differ in the last bit of this incumbent's q.
-    (M1, EfficiencyParams(0.5, 0.0271586695465435, 0.0, 0.0),
-     CostParams(27.77027915882111, 1433.8581173978196, 2.940159211015901),
-     8926.23606639164, GridSpec(points=7, refinements=5)),
+    # Every m1 row has the exponent 2 (_EXPONENT_TWO): its kept rows must
+    # give the full 7 x 7 lattice's incumbent.
+    (M1, *_EXPONENT_TWO, 8926.23606639164, GridSpec(points=7, refinements=5)),
     # The query counts near f = 1e4 are subnormal, where the slack does not
     # cover the lost precision: Unbounded on the full lattice.
     (M2, EfficiencyParams(0.9545455952088651, 0.3445865306156437, 1.568690048126101, 1.0),
@@ -977,8 +1027,7 @@ def test_large_joint_block_matches_single_calls_bit_for_bit(model, monkeypatch):
     grid = GridSpec(points=64, refinements=2)
     costs = CostParams(c_query=10.0, c_feedback=2.0, c_assess=1.0)
     special = [_unsound(10.0 ** -exponent) for exponent in range(292, 300)] + [
-        (EfficiencyParams(0.5, 0.0271586695465435, 0.0, 0.0),
-         CostParams(27.77027915882111, 1433.8581173978196, 2.940159211015901)),
+        _EXPONENT_TWO,
         (EfficiencyParams(0.55, 0.3, 0.2, 0.8), costs),
         (EfficiencyParams(0.5, 0.9, 0.0, 0.0), costs),
         (EfficiencyParams(0.0068, 0.003, 0.1, 0.4), costs),
