@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     CostParams,
@@ -55,9 +55,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClampedValue:
-    """A formula output after clamping, next to the raw formula value."""
+class ClampedValue(NamedTuple):
+    """A formula output after clamping, next to the raw formula value.
+
+    A named tuple, so it unpacks as ``(value, raw)`` and compares equal to
+    that plain tuple."""
 
     value: float
     raw: float
@@ -69,7 +71,7 @@ class ClampedValue:
 
 
 def _clamp_floor(raw: float, floor: float = 0.0) -> ClampedValue:
-    return ClampedValue(value=max(raw, floor), raw=raw)
+    return ClampedValue(max(raw, floor), raw)
 
 
 def a0_star(efficiency: EfficiencyParams, costs: CostParams) -> float:

@@ -169,7 +169,10 @@ class EfficiencyParams:
 
     def __post_init__(self) -> None:
         for name in _EFFICIENCY_FIELDS:
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            given = getattr(self, name)
+            value = _require_finite(name, given)
+            if value is not given:
+                object.__setattr__(self, name, value)
         if not self.alpha > 0.0:
             raise DomainError("alpha must be > 0")
         if self.alpha > 1.0:
@@ -194,8 +197,10 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for name in _COST_FIELDS:
-            value = _require_finite(name, getattr(self, name))
-            object.__setattr__(self, name, value)
+            given = getattr(self, name)
+            value = _require_finite(name, given)
+            if value is not given:
+                object.__setattr__(self, name, value)
             if not value > 0.0:
                 raise DomainError(f"{name} must be > 0")
 

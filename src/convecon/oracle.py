@@ -23,11 +23,14 @@ own K=1 call gives, by three rules:
 * the query count is taken in log space by numpy's elementwise ``log``,
   ``log1p`` and ``exp`` (:func:`~convecon.core.recover_q_value`), whose
   bits do not depend on the lattice's shape;
-* window shrinking stays in :mod:`math`, one instance at a time
-  (``np.log10`` and ``np.power`` can differ from ``math.log10`` and
-  ``10.0 **`` in the last bit); the axes are built with numpy logspace's
-  own arithmetic, which is elementwise, so each row gets the bits of its
-  own scalar call.
+* a window is kept as its endpoints and their ``log10``, both worked out
+  in :mod:`math` once, when the window is made (``np.log10`` and
+  ``np.power`` can differ from ``math.log10`` and ``10.0 **`` in the last
+  bit). A round's axes, both searched axes' in one call, are numpy
+  logspace's own arithmetic on those exponents, elementwise, so each row
+  gets the bits of its own scalar call. A shrink (:func:`_shrink`) takes
+  each window's span from its stored exponents and its center's ``log10``
+  and the new endpoints' ``10.0 **`` from :mod:`math`, float by float;
 * at K=1 the parameters reach numpy as plain floats, not (1, 1, 1) arrays:
   the bits are the same, but arrays slow the lattice arithmetic down.
 
@@ -66,15 +69,15 @@ the largest lattice or slice the thread is asked for: at most 0.8 MB
 default grid, where a lone search or an instance that keeps every row
 evaluates a full 200 x 200 lattice.
 
-The batch returns bare incumbents: the least-cost node's ``(q, f, a)`` and
-where the search ended (:class:`GridMeta`), or the instance's error. Only
-:func:`minimize_cost`, which the ``oracle`` command calls, turns its
-incumbent into a report (:class:`OptimalStrategy`), adding the achieved
-gain, the total cost and the stationarity diagnostics
-(:func:`kkt_residual`); the audit, sweeps and the viability call read the
-incumbents alone. An integer neighbourhood search (:func:`integer_refine`)
-serves callers who need whole-number action counts rather than the
-continuous relaxation.
+The batch returns bare incumbents (:class:`_Incumbent`): the least-cost
+node's ``(q, f, a)``, the final windows and the lower-corner axes, or the
+instance's error. Only :func:`minimize_cost`, which the ``oracle`` command
+calls, turns its incumbent into a report (:class:`OptimalStrategy`), adding
+the search's :class:`GridMeta`, the achieved gain, the total cost and the
+stationarity diagnostics (:func:`kkt_residual`); the audit, sweeps and the
+viability call read the incumbents' fields alone. An integer neighbourhood
+search (:func:`integer_refine`) serves callers who need whole-number action
+counts rather than the continuous relaxation.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, fields
+from operator import add, attrgetter, sub
 from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -120,6 +124,10 @@ __all__ = [
 ]
 
 _GRID_FIELDS = ("min", "max", "points", "refinements")
+
+# An incumbent's lower_corner_axes, indexed by 1 for "f" plus 2 for "a"
+# (the order GridMeta has always listed them in).
+_CORNERS = ((), ("f",), ("a",), ("f", "a"))
 
 # Lattice nodes a round holds at once: a block's instances and a slice of
 # its kept rows.
@@ -217,10 +225,13 @@ class KktReport:
 
     The multiplier is read off the assessment axis (whose residual is then
     zero by construction) and the remaining first-order conditions are
-    checked against it. Residuals are scaled by the Euclidean norm of the
-    cost gradient so the numbers are comparable across instances.
-    ``constraint_rel_gap`` is how far realised gain sits from the floor,
-    relative to the floor.
+    checked against it. Residuals are taken in log coordinates and divided
+    by the total cost: ``residual_q`` is ``q * dL/dq / cost`` and
+    ``residual_f`` is ``f * dL/df / cost``, for the Lagrangian
+    ``L = cost - lambda * gain``. Each is the change in ``L``, as a share of
+    the cost, per relative step in its count, so the numbers are comparable
+    across instances and counts of any size. ``constraint_rel_gap`` is how
+    far realised gain sits from the floor, relative to the floor.
     """
 
     lam: float
@@ -282,12 +293,17 @@ class OptimalStrategy:
 
 class _Incumbent(NamedTuple):
     """One instance's search result: the least-cost node, as plain floats,
-    and where the search ended."""
+    and where the search ended, as :class:`GridMeta` records it: the final
+    windows (a pinned axis's is ``(value, value)``; a model without
+    feedback has no feedback window) and the axes whose lower box edge the
+    node sits on."""
 
     q: float
     f: float
     a: float
-    grid_meta: GridMeta
+    a_window: tuple[float, float]
+    f_window: Optional[tuple[float, float]]
+    lower_corner_axes: tuple[str, ...]
 
 
 def _gradients(strategy: Strategy, efficiency: EfficiencyParams, costs: CostParams):
@@ -324,10 +340,11 @@ def kkt_residual(
 ) -> KktReport:
     """First-order-condition residuals at ``strategy`` for gain floor ``g``.
 
-    Small residuals certify an interior stationary point; a corner optimum
-    legitimately shows a non-zero feedback residual, so this is a diagnostic,
-    not a pass/fail test on its own. A gradient component or a residual that
-    overflows a float raises :class:`NoInteriorOptimum`.
+    Small residuals certify an interior stationary point (:class:`KktReport`);
+    a corner optimum legitimately shows a non-zero feedback residual, so
+    this is a diagnostic, not a pass/fail test on its own. A gradient
+    component or a residual that overflows a float raises
+    :class:`NoInteriorOptimum`.
     """
     g = check_gain(g)
     cost_grad, gain_grad = _gradients(strategy, efficiency, costs)
@@ -338,9 +355,11 @@ def kkt_residual(
     if gain_grad[2] == 0.0:
         raise DomainError("assessment gain gradient is zero; cannot read off a multiplier")
     lam = cost_grad[2] / gain_grad[2]
-    norm = math.sqrt(sum(component * component for component in cost_grad))
-    residual_q = (cost_grad[0] - lam * gain_grad[0]) / norm
-    residual_f = (cost_grad[1] - lam * gain_grad[1]) / norm
+    # Cost is linear in q, so the total cost is q * cost_grad[0]; dividing
+    # by that product without forming it keeps a cost that overflows a float
+    # out of the residuals.
+    residual_q = (cost_grad[0] - lam * gain_grad[0]) / cost_grad[0]
+    residual_f = strategy.f * ((cost_grad[1] - lam * gain_grad[1]) / strategy.q) / cost_grad[0]
     if not (math.isfinite(residual_q) and math.isfinite(residual_f)):
         raise NoInteriorOptimum(f"the KKT residuals {at} overflow a float")
     gap = (gain(strategy, efficiency) - g) / g
@@ -353,28 +372,60 @@ def kkt_residual(
     )
 
 
-def _log_axes(windows: Sequence[tuple[float, float]], points: int) -> np.ndarray:
-    """One log-spaced axis per window, as rows of a (K, points) array.
+_DEFAULT_GRID = GridSpec()
+
+
+def _log_axes(exponents: np.ndarray, points: int) -> np.ndarray:
+    """One log-spaced axis per window, as rows of a (K, points) array, from
+    the windows' ``log10`` endpoints as a (2, K) array: the lows, then the
+    highs.
 
     This is numpy logspace's arithmetic written out for a column of
     endpoints; every step is elementwise, so each row gets the bits of its
     own scalar ``np.logspace`` call.
     """
-    exponents = np.array([(math.log10(lo), math.log10(hi)) for lo, hi in windows])
-    lo, hi = exponents[:, :1], exponents[:, 1:]
+    lo, hi = exponents[0, :, None], exponents[1, :, None]
     y = np.arange(points, dtype=float) * ((hi - lo) / (points - 1))
     y += lo
     y[:, -1:] = hi
     return np.power(10.0, y)
 
 
-def _shrink(window: tuple[float, float], center: float, spec: GridSpec) -> tuple[float, float]:
-    """Next refinement window: a tenth of the log-span, centred, clipped."""
-    lo, hi = math.log10(window[0]), math.log10(window[1])
-    half = (hi - lo) / 2.0 / 10.0
-    c = math.log10(center)
-    g_lo, g_hi = math.log10(spec.min), math.log10(spec.max)
-    return (10.0 ** max(g_lo, c - half), 10.0 ** min(g_hi, c + half))
+class _Windows(NamedTuple):
+    """A block's n windows, one per searched axis and instance, feedback
+    windows first: their endpoints, the n lows then the n highs, and those
+    endpoints' ``log10`` as a (2, n) array."""
+
+    ends: list[float]
+    exponents: np.ndarray
+
+
+def _windows(ends: list[float]) -> _Windows:
+    """Windows from their endpoints, the lows then the highs; the ``log10``
+    of each is :mod:`math`'s, worked out here once."""
+    return _Windows(ends, np.fromiter(map(math.log10, ends), float, len(ends)).reshape(2, -1))
+
+
+def _shrink(windows: _Windows, centers: Sequence[float], box: tuple[float, float]) -> _Windows:
+    """Next refinement windows: a tenth of each window's log-span, centred
+    on its incumbent coordinate (``centers``, in window order), clipped to
+    the global box's ``log10`` bounds ``box``.
+
+    The spans come from the stored exponents; each step is one pass of
+    float arithmetic over the windows, :mod:`math` for the ``log10`` and
+    ``10.0 **``. Array arithmetic for the spans and the clipping would pay
+    numpy's cost per call, which a lone search pays every round: on a
+    2-vCPU Xeon with numpy 2.4, a shrink of one window takes 3.3 us this
+    way and 7.4 us that way, while at 400 windows array arithmetic saves
+    0.1 us a window (0.55 against 0.45 us), about 1% of an audit.
+    """
+    (lo_box, hi_box), (lo_exp, hi_exp) = box, windows.exponents.tolist()
+    half = [(hi - lo) / 2.0 / 10.0 for lo, hi in zip(lo_exp, hi_exp)]
+    c = list(map(math.log10, centers))
+    # max(lo_box, x) and min(hi_box, x), spelled without a call per window.
+    ends = [10.0 ** (x if x > lo_box else lo_box) for x in map(sub, c, half)]
+    ends += [10.0 ** (x if x < hi_box else hi_box) for x in map(add, c, half)]
+    return _windows(ends)
 
 
 def _argmin_lex(total: np.ndarray, qv: np.ndarray, f_axis: np.ndarray, a_axis: np.ndarray) -> np.ndarray:
@@ -386,14 +437,15 @@ def _argmin_lex(total: np.ndarray, qv: np.ndarray, f_axis: np.ndarray, a_axis: n
     best = flat[np.arange(len(flat)), index]
     is_best = flat == best[:, None]
     # Counting per lattice costs a pass over it; skip that unless some
-    # lattice has more than one least-cost node.
-    if np.count_nonzero(is_best) > len(flat):
+    # lattice has more than one least-cost node. A lattice of several nodes
+    # with no finite cost has every node at inf, so it counts too.
+    if np.count_nonzero(is_best) > len(flat) or flat.shape[1] == 1:
         for k in np.flatnonzero((np.count_nonzero(is_best, axis=1) > 1) & (best < np.inf)).tolist():
             nodes = np.flatnonzero(is_best[k])
             f_idx, a_idx = np.divmod(nodes, a_axis.shape[1])
             order = np.lexsort((a_axis[k, a_idx], f_axis[k, f_idx], qv[k].ravel()[nodes]))
             index[k] = nodes[order[0]]
-    index[best == np.inf] = -1
+        index[best == np.inf] = -1
     return index
 
 
@@ -409,7 +461,7 @@ def _workspace(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.
     arena = getattr(_WORKSPACE, "arena", None)
     if arena is None or arena.size < 3 * size:
         arena = _WORKSPACE.arena = np.empty(3 * size)
-    return tuple(arena[i * size:(i + 1) * size].reshape(shape) for i in range(3))
+    return tuple(arena[:3 * size].reshape((3, *shape)))
 
 
 def _front(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -425,7 +477,8 @@ def _evaluate(model, efficiency, costs, g, f_axis, a_axis):
     columns, views of the thread's workspace. The arithmetic is
     :func:`~convecon.core.recover_q_value` and then
     :func:`~convecon.core.cost_value`, operation for operation, each written
-    into a workspace buffer. Non-finite costs become ``inf``.
+    into a workspace buffer (a model without feedback skips the feedback
+    term, which is zero there). Non-finite costs become ``inf``.
     """
     row = _model_row(model)
     fcol = f_axis[:, :, None]
@@ -452,9 +505,12 @@ def _evaluate(model, efficiency, costs, g, f_axis, a_axis):
         np.exp(qv, out=qv)
         # total = q*c_query + (q*f)*c_feedback + assessments*c_assess
         np.multiply(qv, costs.c_query, out=total)
-        np.multiply(qv, fcol, out=scratch)
-        np.multiply(scratch, costs.c_feedback, out=scratch)
-        np.add(total, scratch, out=total)
+        if row.feedback:
+            # Without feedback f = 0, so this term adds +0.0 to a finite
+            # total and leaves a non-finite one non-finite: the same bits.
+            np.multiply(qv, fcol, out=scratch)
+            np.multiply(scratch, costs.c_feedback, out=scratch)
+            np.add(total, scratch, out=total)
         if row.repeat:
             np.add(1.0, fcol, out=scratch)
             np.multiply(qv, scratch, out=scratch)
@@ -586,52 +642,56 @@ def _least_pairs(owners, index, total, qv, f_rows, a_rows) -> np.ndarray:
 
 
 def _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, last):
-    """Evaluate one round (:func:`_lattices`); returns ``(k, node)`` for
-    each instance ``k``: ``node`` is None where no node has a finite cost,
-    else the least-cost node as ``(f_idx, a_idx)``, or in the ``last``
-    round as ``(f_idx, a_idx, q, f_falls, a_falls)``.
+    """Evaluate one round (:func:`_lattices`); returns ``[index, f_idx,
+    a_idx]``, (K,) arrays over the instances: the flat index of the
+    instance's least-cost node in its lattice, -1 where no node has a
+    finite cost, and the node's indices on the instance's axes. The
+    ``last`` round appends ``q``, each node's query count, and ``f_falling``
+    and ``a_falling``: the instances (lists) whose node sits on the last
+    index of the feedback or the assessment axis, where that axis has more
+    than one point, and costs less than the node before it on that axis.
 
-    ``f_falls`` and ``a_falls`` say whether the cost falls toward the node
-    from the node before it on that axis; they are only worked out for a
-    node on the axis's last index and are False elsewhere. The node before
-    on the feedback axis is the lattice row before, or the previous
-    lattice's row where that is a pair of the same instance; it must be the
-    instance's previous feedback row. A feedback row the round left out has
-    a floor above the node's cost, so every node of it is costlier.
+    The node before on the feedback axis is the lattice row before, or the
+    previous lattice's row where that is a pair of the same instance; it
+    must be the instance's previous feedback row. A feedback row the round
+    left out has a floor above the node's cost, so every node of it is
+    costlier.
     """
     ragged = kept is not None and len(f_axis) > 1
     last_row = f_axis.shape[1] - 1
-    nodes = []
+    parts = []
+    f_falling: list[int] = []
+    a_falling: list[int] = []
     for owners, rows, f_rows, a_rows, qv, total in _lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
         index = _argmin_lex(total, qv, f_rows, a_rows)
-        lattices = instances = range(len(index))
         if ragged:
-            chosen = _least_pairs(owners, index, total, qv, f_rows, a_rows)
-            index = index[chosen]
-            lattices, instances = chosen.tolist(), owners[chosen].tolist()
-        last_column = total.shape[2] - 1
-        for j, k, node in zip(lattices, instances, index.tolist()):
-            if node < 0:
-                nodes.append((k, None))
-                continue
-            i, a_idx = divmod(node, last_column + 1)
-            f_idx = i if rows is None else int(rows[j, i])
-            if not last:
-                nodes.append((k, (f_idx, a_idx)))
-                continue
-            here = total[j, i, a_idx]
-            f_falls = a_falls = False
-            if f_idx == last_row:
-                before = None
-                if i > 0 and (rows is None or rows[j, i - 1] == f_idx - 1):
-                    before = total[j, i - 1, a_idx]
-                elif i == 0 and ragged and j > 0 and owners[j - 1] == k and rows[j - 1, -1] == f_idx - 1:
-                    before = total[j - 1, -1, a_idx]
-                f_falls = before is None or bool(before > here)
-            if a_idx == last_column:
-                a_falls = bool(total[j, i, a_idx - 1] > here)
-            nodes.append((k, (f_idx, a_idx, float(qv[j, i, a_idx]), f_falls, a_falls)))
-    return nodes
+            lattices = _least_pairs(owners, index, total, qv, f_rows, a_rows)
+            index = index[lattices]
+        elif rows is not None or last:
+            lattices = np.arange(len(index))
+        i, a_idx = index // total.shape[2], index % total.shape[2]
+        f_idx = i if rows is None else rows[lattices, i]
+        parts.append([index, f_idx, a_idx])
+        if not last:
+            continue
+        parts[-1].append(qv[lattices, i, a_idx])
+        # Nodes on an upper edge are few: they are worked out one by one.
+        # Lattice j belongs to instance owners[j], or to instance j.
+        for e in (f_idx == last_row).nonzero()[0].tolist() if last_row else ():
+            j, r, f, a = lattices[e], i[e], f_idx[e], a_idx[e]
+            before = np.inf
+            if r > 0 and (rows is None or rows[j, r - 1] == f - 1):
+                before = total[j, r - 1, a]
+            elif r == 0 and ragged and j > 0 and owners[j - 1] == owners[j] and rows[j - 1, -1] == f - 1:
+                before = total[j - 1, -1, a]
+            if total[j, r, a] < before:
+                f_falling.append(e if owners is None else int(owners[j]))
+        for e in (a_idx == total.shape[2] - 1).nonzero()[0].tolist() if total.shape[2] > 1 else ():
+            j, r, a = lattices[e], i[e], a_idx[e]
+            if total[j, r, a] < total[j, r, a - 1]:
+                a_falling.append(e if owners is None else int(owners[j]))
+    columns = parts[0] if len(parts) == 1 else [np.concatenate(column) for column in zip(*parts)]
+    return columns + [f_falling, a_falling] if last else columns
 
 
 def _columns(params: Sequence) -> SimpleNamespace:
@@ -641,7 +701,7 @@ def _columns(params: Sequence) -> SimpleNamespace:
     columns broadcast against K stacked lattices.
     """
     return SimpleNamespace(**{
-        field.name: np.array([getattr(p, field.name) for p in params]).reshape(-1, 1, 1)
+        field.name: np.fromiter(map(attrgetter(field.name), params), float, len(params)).reshape(-1, 1, 1)
         for field in fields(params[0])
     })
 
@@ -686,12 +746,19 @@ def minimize_cost(
         raise results.pop()
     incumbent = results[0]
     strategy = Strategy(model, q=incumbent.q, f=incumbent.f, a=incumbent.a)
+    spec = grid if grid is not None else _DEFAULT_GRID
     return OptimalStrategy(
         strategy=strategy,
         achieved_gain=gain(strategy, efficiency),
         total_cost=cost(strategy, costs),
         kkt=kkt_residual(strategy, efficiency, costs, g),
-        grid_meta=incumbent.grid_meta,
+        grid_meta=GridMeta(
+            points=spec.points,
+            refinements=spec.refinements,
+            a_window=incumbent.a_window,
+            f_window=incumbent.f_window,
+            lower_corner_axes=incumbent.lower_corner_axes,
+        ),
     )
 
 
@@ -720,7 +787,7 @@ def _minimize_batch(
     g = check_gain(g)
     if not isinstance(model, ModelKind):
         model = ModelKind.from_code(model)
-    spec = grid if grid is not None else GridSpec()
+    spec = grid if grid is not None else _DEFAULT_GRID
     # Searches per block: a one-axis round holds one row of nodes per
     # search. A joint round holds its floors, a probe row and its kept rows
     # (2.2 a round for the audit's m2 searches) with their gathered
@@ -774,75 +841,77 @@ def _search(
     # A model without feedback searches the single feedback row f = 0.
     f_fixed = pinned if pin == "f" else None if model.uses_feedback else np.zeros((size, 1))
     a_fixed = pinned if pin == "a" else None
-    f_windows = [(spec.min, spec.max)] * size if f_fixed is None else None
-    a_windows = [(spec.min, spec.max)] * size if a_fixed is None else None
+    box = (math.log10(spec.min), math.log10(spec.max))
+    # The searched axes' windows, feedback first. With the nodes' feedback
+    # indices stacked on their assessment indices, slice `searched` holds
+    # each window's node.
+    searched = slice(0 if f_fixed is None else size, size if a_fixed is not None else 2 * size)
+    rows = searched.stop - searched.start
+    windows = _windows([spec.min] * rows + [spec.max] * rows)
+    window_rows = np.arange(rows)
 
     errors: list[Optional[EconError]] = [None] * size
-    # Per instance, the round's least-cost node (_least_nodes).
-    best: list = [(0, 0)] * size
-    prune = f_windows is not None and a_windows is not None and size * spec.points**2 >= _PRUNE_NODES
+    prune = f_fixed is None and a_fixed is None and size * spec.points**2 >= _PRUNE_NODES
     for round_index in range(spec.refinements + 1):
-        f_axis = f_fixed if f_windows is None else _log_axes(f_windows, spec.points)
-        a_axis = a_fixed if a_windows is None else _log_axes(a_windows, spec.points)
+        # Both searched axes' rows come from one call.
+        axes = _log_axes(windows.exponents, spec.points)
+        f_axis = axes[:size] if f_fixed is None else f_fixed
+        a_axis = axes[rows - size:] if a_fixed is None else a_fixed
         kept = _kept_rows(model, efficiency, costs, g, f_axis, a_axis) if prune else None
         last = round_index == spec.refinements
-        for k, node in _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, last):
-            if node is None:
+        index, f_idx, a_idx, *outcome = _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, last)
+        if min(index.tolist()) < 0:
+            for k in np.flatnonzero(index < 0).tolist():
                 # A valid input whose gain target no finite query count reaches.
                 errors[k] = errors[k] or NoInteriorOptimum("grid evaluation produced no finite cost")
-            else:
-                best[k] = node
-        if all(errors):
-            return errors
-        if round_index < spec.refinements:
-            if a_windows is not None:
-                a_windows = [
-                    _shrink(window, float(a_axis[k, a_idx]), spec)
-                    for k, (window, (_, a_idx)) in enumerate(zip(a_windows, best))
-                ]
-            if f_windows is not None:
-                f_windows = [
-                    _shrink(window, float(f_axis[k, f_idx]), spec)
-                    for k, (window, (f_idx, _)) in enumerate(zip(f_windows, best))
-                ]
+            if all(errors):
+                return errors
+        # Each window's node: the next round's centres, or the incumbents'
+        # coordinates on the searched axes.
+        centers = axes[window_rows, np.concatenate((f_idx, a_idx))[searched]].tolist()
+        if not last:
+            windows = _shrink(windows, centers, box)
+
+    q, f_falling, a_falling = outcome
+    f_values = centers[:size] if f_fixed is None else f_fixed[:, 0].tolist()
+    a_values = centers[rows - size:] if a_fixed is None else a_fixed[:, 0].tolist()
+    # Per instance: the Unbounded message where the cost still falls at a
+    # searched axis's upper box edge (the feedback axis's wins), and the
+    # lower box edges the node sits on.
+    runaway: dict[int, str] = {}
+    corners = [0] * size
+    for name, symbol, fixed, falling, at, axis in (
+        ("assessment", "a", a_fixed, a_falling, a_idx, a_axis),
+        ("feedback", "f", f_fixed, f_falling, f_idx, f_axis),
+    ):
+        if fixed is not None:
+            continue
+        for k in falling:
+            if axis[k, -1] == spec.max:
+                runaway[k] = (
+                    f"cost still decreasing at the upper grid bound on the {name} axis "
+                    f"({symbol} = {spec.max}); the optimum lies outside the search box"
+                )
+        for k in (at == 0).nonzero()[0].tolist():
+            if axis[k, 0] == spec.min:
+                corners[k] += 1 if symbol == "f" else 2
+    pinned_ends = [(value, value) for value in values] if pin is not None else None
+    lo, hi = windows.ends[:rows], windows.ends[rows:]
+    a_ends = pinned_ends if pin == "a" else list(zip(lo[rows - size:], hi[rows - size:]))
+    f_ends = pinned_ends if pin == "f" else [None] * size if f_fixed is not None else list(zip(lo[:size], hi[:size]))
 
     results: list = []
-    for k, value in enumerate(values):
+    for k, q_k in enumerate(q.tolist()):
         if errors[k] is not None:
             results.append(errors[k])
-            continue
-        f_idx, a_idx, q, f_falls, a_falls = best[k]
-        lower_corners = []
-        if f_windows is not None:
-            if f_idx == f_axis.shape[1] - 1 and f_axis[k, -1] == spec.max and f_falls:
-                results.append(Unbounded(
-                    "cost still decreasing at the upper grid bound on the feedback axis "
-                    f"(f = {spec.max}); the optimum lies outside the search box"
-                ))
-                continue
-            if f_idx == 0 and f_axis[k, 0] == spec.min:
-                lower_corners.append("f")
-        if a_windows is not None:
-            if a_idx == a_axis.shape[1] - 1 and a_axis[k, -1] == spec.max and a_falls:
-                results.append(Unbounded(
-                    "cost still decreasing at the upper grid bound on the assessment axis "
-                    f"(a = {spec.max}); the optimum lies outside the search box"
-                ))
-                continue
-            if a_idx == 0 and a_axis[k, 0] == spec.min:
-                lower_corners.append("a")
-        if q == 0.0:
+        elif k in runaway:
+            results.append(Unbounded(runaway[k]))
+        elif q_k == 0.0:
             results.append(NoInteriorOptimum(
                 f"the query count that reaches gain {g!r} underflows a float to 0"
             ))
-            continue
-        results.append(_Incumbent(q, float(f_axis[k, f_idx]), float(a_axis[k, a_idx]), GridMeta(
-            points=spec.points,
-            refinements=spec.refinements,
-            a_window=(value, value) if pin == "a" else a_windows[k],
-            f_window=(value, value) if pin == "f" else None if f_windows is None else f_windows[k],
-            lower_corner_axes=tuple(lower_corners),
-        )))
+        else:
+            results.append(_Incumbent(q_k, f_values[k], a_values[k], a_ends[k], f_ends[k], _CORNERS[corners[k]]))
     return results
 
 

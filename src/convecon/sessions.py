@@ -464,12 +464,12 @@ def viability(
         if isinstance(results[0], EconError):
             # Popped, not bound to a name, as in oracle.minimize_cost.
             raise results.pop()
-        q, f, a, grid_meta = results[0]
-        strategy = strategies[model.code] = Strategy(model, q=q, f=f, a=a)
+        incumbent = results[0]
+        strategy = strategies[model.code] = Strategy(model, q=incumbent.q, f=incumbent.f, a=incumbent.a)
         total = totals[model.code] = cost(strategy, costs)
         if not model.uses_feedback:
             continue
-        positive_feedback = "f" not in grid_meta.lower_corner_axes and f > grid.min * (1.0 + 1e-9)
+        positive_feedback = "f" not in incumbent.lower_corner_axes and incumbent.f > grid.min * (1.0 + 1e-9)
         undercuts = total < totals[ModelKind.BASELINE.code] * (1.0 - 1e-6)
         worthwhile[model.code] = positive_feedback and undercuts
         if worthwhile[model.code] and total < totals[cheapest.code]:

@@ -292,12 +292,17 @@ class SamplePoint:
     def with_param(self, name: str, value: float) -> "SamplePoint":
         """This point with one axis moved; a parameter out of its holder's
         domain raises the holder's :class:`DomainError`."""
-        if name in ("f", "a"):
-            return SamplePoint(**{**vars(self), name: float(value)})
+        if name == "f":
+            return SamplePoint(self.efficiency, self.costs, float(value), self.a)
+        if name == "a":
+            return SamplePoint(self.efficiency, self.costs, self.f, float(value))
         holder = _holder_of(name)
         params = getattr(self, holder)
-        changed = type(params)(**{**vars(params), name: float(value)})
-        return SamplePoint(**{**vars(self), holder: changed})
+        # A frozen dataclass's vars() list its fields in order.
+        changed = type(params)(*[float(value) if field == name else given for field, given in vars(params).items()])
+        if holder == "efficiency":
+            return SamplePoint(changed, self.costs, self.f, self.a)
+        return SamplePoint(self.efficiency, changed, self.f, self.a)
 
     def to_dict(self) -> dict:
         """Every axis, in ``AXIS_ORDER``."""
@@ -688,7 +693,7 @@ def _collect_agreement(
     for model, rows in _AGREEMENT_SECTIONS:
         joints = _minimize_batch(model, [(p.efficiency, p.costs, None) for p in points], g, grid)
         for point, joint in zip(points, joints):
-            if isinstance(joint, EconError) or "f" in joint.grid_meta.lower_corner_axes:
+            if isinstance(joint, EconError) or "f" in joint.lower_corner_axes:
                 for name, _ in rows:
                     tallies[name].skip()
                 continue
@@ -926,10 +931,10 @@ def sweep(
         if isinstance(results[i], EconError):
             # Popped, not bound to a name, as in oracle.minimize_cost.
             raise results.pop(i)
-        q, f, a, _ = results[i]
-        strategy = Strategy(model, q=q, f=f, a=a)
+        incumbent = results[i]
+        strategy = Strategy(model, q=incumbent.q, f=incumbent.f, a=incumbent.a)
         rows.append((value,) + tuple(formulas[name] for name in target_names) + (
-            f, a, cost(strategy, point.costs), gain(strategy, point.efficiency),
+            incumbent.f, incumbent.a, cost(strategy, point.costs), gain(strategy, point.efficiency),
         ))
     if failed:
         raise failed.pop()

@@ -129,6 +129,9 @@ def test_a2_star_full_clamps_negative():
     assert value.corner
     assert value.value == 0.0
     assert value.raw < 0.0
+    # A clamped value is a named (value, raw) tuple.
+    clamped, raw = value
+    assert value == (clamped, raw) == (0.0, value.raw)
 
 
 # -------------------------------------------------------------- f2_star

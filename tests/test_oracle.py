@@ -173,6 +173,26 @@ class TestKktResidual:
         with pytest.raises(NoInteriorOptimum, match="KKT residuals .* overflow a float"):
             kkt_residual(s, efficiency, costs, 1.0)
 
+    def test_huge_query_count_is_not_certified_stationary(self):
+        # At q = 1e160 the assessment component (q * c_assess) dwarfs the
+        # others, so residuals scaled by the gradient's norm read 0 here,
+        # although the baseline's best depth at these prices is 0.5, not 5.
+        # In log coordinates, over the total cost, the q residual is
+        # (1 + a - alpha*a/beta) / (1 + a) = -1.5.
+        s = Strategy(M0, q=1e160, f=0.0, a=5.0)
+        report = kkt_residual(s, EfficiencyParams(0.9, 0.3), CostParams(1.0, 1.0, 1.0), 1.0)
+        assert report.residual_q == pytest.approx(-1.5, rel=1e-12)
+        assert report.residual_f == 0.0
+        assert report.residual_max == pytest.approx(1.5, rel=1e-12)
+
+    def test_residuals_do_not_depend_on_the_gain_scale(self, std_efficiency, std_costs):
+        # The residuals are shares of the total cost per relative step, so
+        # scaling q (and with it the gain target) leaves them unchanged.
+        at = [kkt_residual(Strategy(M2, q, 2.0, 3.0), std_efficiency, std_costs, 1.0) for q in (7.0, 7e12)]
+        assert at[0].residual_q == pytest.approx(at[1].residual_q, rel=1e-9)
+        assert at[0].residual_f == pytest.approx(at[1].residual_f, rel=1e-6)
+        assert at[0].residual_max > 0.01
+
     def test_dict_uses_lambda_key(self, std_efficiency, std_costs):
         s = Strategy(M0, 2.0, 0.0, 2.0)
         doc = kkt_residual(s, std_efficiency, std_costs, 1.0).to_dict()
@@ -282,7 +302,7 @@ class TestPinnedAxes:
     def test_pin_feedback_solves_conditional_depth(self, std_efficiency, std_costs):
         pinned = _own_call(M2, std_efficiency, std_costs, 100.0, pin="f", value=1.0)
         assert pinned.f == 1.0
-        assert pinned.grid_meta.f_window == (1.0, 1.0)
+        assert pinned.f_window == (1.0, 1.0)
         expected = a2_star_partial(1.0, std_efficiency, std_costs)
         assert pinned.a == pytest.approx(expected, rel=1e-3)
 
@@ -293,13 +313,13 @@ class TestPinnedAxes:
         baseline = minimize_cost(M0, std_efficiency, std_costs, 100.0, light_grid)
         assert pinned.a == baseline.strategy.a
         assert cost(Strategy(M2, pinned.q, pinned.f, pinned.a), std_costs) == baseline.total_cost
-        assert pinned.grid_meta.lower_corner_axes == ()
+        assert pinned.lower_corner_axes == ()
 
     def test_pin_assessment_recovers_joint_feedback(self, std_efficiency, std_costs):
         joint = minimize_cost(M2, std_efficiency, std_costs, 100.0)
         pinned = _own_call(M2, std_efficiency, std_costs, 100.0, pin="a", value=joint.strategy.a)
         assert pinned.a == joint.strategy.a
-        assert pinned.grid_meta.a_window == (joint.strategy.a, joint.strategy.a)
+        assert pinned.a_window == (joint.strategy.a, joint.strategy.a)
         assert pinned.f == pytest.approx(joint.strategy.f, rel=1e-2)
         pinned_cost = cost(Strategy(M2, pinned.q, pinned.f, pinned.a), std_costs)
         assert pinned_cost == pytest.approx(joint.total_cost, rel=1e-4)
@@ -618,27 +638,82 @@ def test_least_pairs_pick_the_node_of_the_whole_lattice():
         assert [-1 if index[j] < 0 else kept_rows[j] * columns + index[j] for j in chosen] == expected
 
 
+def _exponents(windows):
+    """Windows' log10 endpoints as the search keeps them: a (2, K) array of
+    the lows, then the highs."""
+    return np.array([[math.log10(lo) for lo, _ in windows], [math.log10(hi) for _, hi in windows]])
+
+
 def test_log_axes_rows_match_scalar_logspace():
     # numpy's logspace over arrays of endpoints takes another branch for
     # every row once one row has a zero step; each row must still get the
     # bits of its own scalar call.
     windows = [(0.5, 40.0), (1e-3, 1e4), (2.0, 2.0)]
     for block in (windows, windows[:2]):
-        axes = _log_axes(block, 64)
+        axes = _log_axes(_exponents(block), 64)
         assert axes.shape == (len(block), 64)
         for row, (lo, hi) in zip(axes, block):
             expected = np.logspace(math.log10(lo), math.log10(hi), 64)
             assert [v.hex() for v in row] == [v.hex() for v in expected]
 
 
+def test_shrink_matches_scalar_window_arithmetic():
+    # Each new window is a tenth of the old log-span around its center,
+    # clipped to the box, in math on floats: the same bits at one window as
+    # in a block, including windows clipped at either box edge and a window
+    # of zero span.
+    box = (math.log10(1e-3), math.log10(1e4))
+    rng = np.random.default_rng(20261030)
+    lows = [1e-3, 1e-3, 2.0] + (10.0 ** rng.uniform(-3.0, 2.0, 40)).tolist()
+    highs = [1e4, 1e4, 2.0] + [lo * 10.0 ** rng.uniform(0.1, 3.0) for lo in lows[3:]]
+    centers = [1e-3, 1e4, 2.0] + [math.sqrt(lo * hi) * 10.0 ** rng.uniform(-0.5, 0.5) for lo, hi in zip(lows[3:], highs[3:])]
+    expected = []
+    for lo, hi, center in zip(lows, highs, centers):
+        half = (math.log10(hi) - math.log10(lo)) / 2.0 / 10.0
+        c = math.log10(center)
+        expected.append((10.0 ** max(box[0], c - half), 10.0 ** min(box[1], c + half)))
+    assert expected[0][0] == 1e-3 and expected[1][1] == 1e4 and expected[2][0] == expected[2][1]
+    for count in (1, 2, len(lows)):
+        shrunk = oracle._shrink(oracle._windows(lows[:count] + highs[:count]), centers[:count], box)
+        got = list(zip(shrunk.ends[:count], shrunk.ends[count:]))
+        assert [(lo.hex(), hi.hex()) for lo, hi in got] == [(lo.hex(), hi.hex()) for lo, hi in expected[:count]]
+        assert shrunk.exponents.tolist() == [[math.log10(lo) for lo, _ in got], [math.log10(hi) for _, hi in got]]
+
+
 def _assert_incumbent_is(incumbent, expected):
     """A batch incumbent carries the node of ``expected`` (its own
     one-instance incumbent or ``minimize_cost`` solution), bit for bit, and
-    its grid metadata."""
+    its final windows and lower corners, bit for bit."""
     counts = getattr(expected, "strategy", expected)
+    meta = getattr(expected, "grid_meta", expected)
     for axis in "qfa":
         assert getattr(incumbent, axis).hex() == getattr(counts, axis).hex()
-    assert incumbent.grid_meta == expected.grid_meta
+    # Equal positive floats have equal bits.
+    fields = ("a_window", "f_window", "lower_corner_axes")
+    assert [getattr(incumbent, name) for name in fields] == [getattr(meta, name) for name in fields]
+
+
+def test_only_minimize_cost_builds_grid_meta(std_efficiency, std_costs, monkeypatch):
+    # A batch returns bare incumbents, their windows and corners as plain
+    # fields; only the one-instance report builds the GridMeta it prints.
+    built = []
+
+    class CountingGridMeta(oracle.GridMeta):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(oracle, "GridMeta", CountingGridMeta)
+    rng = np.random.default_rng(20261027)
+    instances = [_sample_instance(rng)[:2] + (float(rng.uniform(0.5, 30.0)),) for _ in range(40)]
+    grid = GridSpec(points=64, refinements=2)
+    for model, pin in ((M2, None), (M1, None), (M0, None), (M2, "f"), (M1, "a"), (M0, "a")):
+        batch = _minimize_batch(model, instances, 100.0, grid, pin=pin)
+        assert sum(isinstance(result, _Incumbent) for result in batch) > 20
+    assert built == []
+    sol = minimize_cost(M2, std_efficiency, std_costs, 100.0, grid)
+    assert built == [sol.grid_meta]
+    assert sol.grid_meta.to_dict()["points"] == 64
 
 
 @pytest.mark.parametrize("grid", [
@@ -690,8 +765,8 @@ def test_scalar_recover_q_matches_lattice_bit_for_bit(model):
     pairs = _batch_instances() + [_EXPONENT_TWO]
     rng = np.random.default_rng(20261026)
     windows = [tuple(sorted(np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 2)))) for _ in range(2 * len(pairs))]
-    f_axis = _log_axes(windows[:len(pairs)], 16) if model.uses_feedback else np.zeros((len(pairs), 1))
-    a_axis = _log_axes(windows[len(pairs):], 16)
+    f_axis = _log_axes(_exponents(windows[:len(pairs)]), 16) if model.uses_feedback else np.zeros((len(pairs), 1))
+    a_axis = _log_axes(_exponents(windows[len(pairs):]), 16)
     efficiencies = _columns([pair[0] for pair in pairs])
     costs = _columns([pair[1] for pair in pairs])
     for g in (100.0, 3.2e10, 1e-300):
@@ -766,7 +841,7 @@ def test_evaluate_matches_operator_spelling_bit_for_bit(model, size, points):
             efficiency = _columns([pair[0] for pair in pairs])
             block_costs = _columns([pair[1] for pair in pairs])
         windows = [tuple(sorted(np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 2)))) for _ in range(size * 2)]
-        f_axis, a_axis = _log_axes(windows[:size], points), _log_axes(windows[size:], points)
+        f_axis, a_axis = _log_axes(_exponents(windows[:size]), points), _log_axes(_exponents(windows[size:]), points)
         pinned = np.exp(rng.uniform(np.log(0.5), np.log(30.0), (size, 1)))
         if model is M0:
             shapes = [(np.zeros((size, 1)), a_axis), (np.zeros((size, 1)), pinned)]
@@ -787,7 +862,7 @@ def _solve_bits(jobs):
     out = []
     for model, instances, grid in jobs:
         for result in _minimize_batch(model, instances, 100.0, grid):
-            out.append([getattr(result, axis).hex() for axis in "qfa"] + [result.grid_meta])
+            out.append([getattr(result, axis).hex() for axis in "qfa"] + list(result[3:]))
     return out
 
 
@@ -907,7 +982,7 @@ def _count_kept(monkeypatch):
 def _outcomes(results):
     return [
         (type(result).__name__, str(result)) if isinstance(result, EconError)
-        else ([getattr(result, axis).hex() for axis in "qfa"], result.grid_meta)
+        else ([getattr(result, axis).hex() for axis in "qfa"], result[3:])
         for result in results
     ]
 
@@ -970,8 +1045,8 @@ _UNIT = st.floats(1e-3, 1.0)
 )
 def test_row_floor_never_exceeds_the_row_least_cost(model, efficiency, costs, log_gain, windows):
     (f_lo, f_span), (a_lo, a_span) = windows
-    f_axis = _log_axes([(10.0 ** f_lo, 10.0 ** (f_lo + f_span))], 31)
-    a_axis = _log_axes([(10.0 ** a_lo, 10.0 ** (a_lo + a_span))], 31)
+    f_axis = _log_axes(_exponents([(10.0 ** f_lo, 10.0 ** (f_lo + f_span))]), 31)
+    a_axis = _log_axes(_exponents([(10.0 ** a_lo, 10.0 ** (a_lo + a_span))]), 31)
     g = 10.0 ** log_gain
     floors = oracle._row_floors(model, efficiency, costs, g, f_axis, a_axis)
     _, total = _evaluate(model, efficiency, costs, g, f_axis, a_axis)
