@@ -15,6 +15,15 @@ interaction models. Conventions used throughout:
   Both are kept, deliberately, as separate variants; the comparative-statics
   auditor treats reconciling them against the brute-force oracle as data,
   not as something to smooth over here.
+* The formulas, the clamp and :func:`recover_q` take plain floats or
+  columns: parameter bundles whose fields are (K,) arrays, with (K,) arrays
+  for ``f`` and ``a``. Each column entry gets the bits of its own call on
+  plain floats. A domain guard (:func:`_fails`) raises as before for plain
+  floats, and for columns when any entry fails it; the audit then repeats
+  the call entry by entry (:func:`_one_by_one`). The coupled solvers are
+  one damped loop over K instances (:func:`_solve_coupled`): plain floats
+  for the lone entries :func:`model1_solve` and
+  :func:`model2_solve_coupled`, columns for the audit's agreement rows.
 """
 
 from __future__ import annotations
@@ -22,17 +31,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import NamedTuple, Optional, Union
+
+import numpy as np
 
 from .core import (
     CostParams,
     EfficiencyParams,
     ModelKind,
     Strategy,
+    _instance,
+    _taken,
     check_gain,
     recover_q_value,
 )
-from .errors import Diverged, DomainError, NoInteriorOptimum
+from .errors import Diverged, DomainError, EconError, NoInteriorOptimum
 
 __all__ = [
     "ClampedValue",
@@ -59,19 +73,30 @@ class ClampedValue(NamedTuple):
     """A formula output after clamping, next to the raw formula value.
 
     A named tuple, so it unpacks as ``(value, raw)`` and compares equal to
-    that plain tuple."""
+    that plain tuple. For columns both fields are columns."""
 
     value: float
     raw: float
 
     @property
     def corner(self) -> bool:
-        """True when clamping actually changed the value."""
+        """True when clamping actually changed the value; elementwise for
+        columns."""
         return self.value != self.raw
 
 
-def _clamp_floor(raw: float, floor: float = 0.0) -> ClampedValue:
-    return ClampedValue(max(raw, floor), raw)
+def _clamp_floor(raw, floor: float = 0.0) -> ClampedValue:
+    """``max(raw, floor)`` next to ``raw``; elementwise for columns, with
+    :func:`max`'s choice of operand where they compare equal."""
+    if isinstance(raw, np.ndarray):
+        return ClampedValue(np.where(floor > raw, floor, raw), raw)
+    return ClampedValue(floor if floor > raw else raw, raw)
+
+
+def _fails(bad) -> bool:
+    """Whether a domain guard fails: the one check of plain floats, or any
+    element of a column's check."""
+    return bad is True or bad is not False and bool(bad.any())
 
 
 def a0_star(efficiency: EfficiencyParams, costs: CostParams) -> float:
@@ -81,7 +106,7 @@ def a0_star(efficiency: EfficiencyParams, costs: CostParams) -> float:
     itself and there is no interior optimum to return.
     """
     gap = efficiency.alpha - efficiency.beta
-    if gap <= 0.0:
+    if _fails(gap <= 0.0):
         raise NoInteriorOptimum(
             "baseline depth requires alpha > beta "
             f"(got alpha={efficiency.alpha}, beta={efficiency.beta})"
@@ -95,10 +120,10 @@ def a1_star(f: float, efficiency: EfficiencyParams, costs: CostParams) -> float:
     ``(beta * c_query + f * c_feedback) / ((gamma1 * f + alpha - beta) * c_assess)``.
     At ``f = 0`` this is exactly the baseline depth.
     """
-    if f < 0.0:
+    if _fails(f < 0.0):
         raise DomainError("f must be >= 0")
     gap = efficiency.gamma1 * f + efficiency.alpha - efficiency.beta
-    if gap <= 0.0:
+    if _fails(gap <= 0.0):
         raise NoInteriorOptimum(
             "m1 depth requires gamma1 * f + alpha > beta "
             f"(got {efficiency.gamma1} * {f} + {efficiency.alpha} vs beta={efficiency.beta})"
@@ -111,10 +136,10 @@ def f1_star(a: float, efficiency: EfficiencyParams, costs: CostParams) -> Clampe
 
     ``(beta * c_query + (alpha - beta) * a * c_assess) / (gamma1 * a * c_assess + beta * c_feedback)``.
     """
-    if a < 0.0:
+    if _fails(a < 0.0):
         raise DomainError("a must be >= 0")
     denom = efficiency.gamma1 * a * costs.c_assess + efficiency.beta * costs.c_feedback
-    if denom <= 0.0:
+    if _fails(denom <= 0.0):
         raise DomainError("m1 feedback formula has a non-positive denominator")
     raw = (
         efficiency.beta * costs.c_query
@@ -128,10 +153,10 @@ def a2_star_partial(f: float, efficiency: EfficiencyParams, costs: CostParams) -
 
     ``beta * (c_query + f * c_feedback) / ((alpha - beta) * (f + 1) * c_assess)``.
     """
-    if f < 0.0:
+    if _fails(f < 0.0):
         raise DomainError("f must be >= 0")
     gap = efficiency.alpha - efficiency.beta
-    if gap <= 0.0:
+    if _fails(gap <= 0.0):
         raise NoInteriorOptimum(
             "m2 depth requires alpha > beta "
             f"(got alpha={efficiency.alpha}, beta={efficiency.beta})"
@@ -151,10 +176,10 @@ def a2_star_full(f: float, efficiency: EfficiencyParams, costs: CostParams) -> C
     at ``alpha == gamma2`` (zero denominator); evaluated as written
     everywhere else, negative outputs included.
     """
-    if f < 0.0:
+    if _fails(f < 0.0):
         raise DomainError("f must be >= 0")
     gap = efficiency.alpha - efficiency.gamma2
-    if gap == 0.0:
+    if _fails(gap == 0.0):
         raise DomainError(
             f"m2 full-depth formula is undefined at alpha == gamma2 (both {efficiency.alpha})"
         )
@@ -174,7 +199,7 @@ def f2_star(efficiency: EfficiencyParams, costs: CostParams) -> ClampedValue:
     pin down.
     """
     gap = efficiency.alpha - efficiency.gamma2
-    if gap == 0.0:
+    if _fails(gap == 0.0):
         raise DomainError(
             f"m2 feedback formula is undefined at alpha == gamma2 (both {efficiency.alpha})"
         )
@@ -193,11 +218,11 @@ def f2_star_coupled(a: float, efficiency: EfficiencyParams, costs: CostParams) -
     earlier, depth-dependent alternative to :func:`f2_star`; it is kept as
     its own variant so the auditor can compare both routes to the oracle.
     """
-    if a < 0.0:
+    if _fails(a < 0.0):
         raise DomainError("a must be >= 0")
     gap = efficiency.alpha - efficiency.beta
     denom = gap * a * costs.c_assess + efficiency.beta * costs.c_feedback
-    if denom <= 0.0:
+    if _fails(denom <= 0.0):
         raise DomainError(
             "m2 coupled feedback formula requires (alpha - beta) * a * c_assess "
             f"+ beta * c_feedback > 0 (got alpha={efficiency.alpha}, beta={efficiency.beta}, a={a})"
@@ -214,15 +239,17 @@ def recover_q(
     Inverts the gain expression of ``model`` in its ``q`` argument. ``a``
     must be positive (zero assessments produce zero gain, so no finite query
     count reaches a positive floor). A query count too large for a float is
-    reported as :class:`NoInteriorOptimum`.
+    reported as :class:`NoInteriorOptimum`. Columns give a column.
     """
     g = check_gain(g)
-    if a <= 0.0:
+    if _fails(a <= 0.0):
         raise DomainError("a must be > 0 to recover a query count")
-    if f < 0.0:
+    if _fails(f < 0.0):
         raise DomainError("f must be >= 0")
-    q = float(recover_q_value(model, g, f, a, efficiency))
-    if not math.isfinite(q):
+    q = recover_q_value(model, g, f, a, efficiency)
+    columns = isinstance(q, np.ndarray)
+    q = q if columns else float(q)
+    if _fails(~np.isfinite(q) if columns else not math.isfinite(q)):
         raise NoInteriorOptimum(
             f"no finite query count reaches gain {g} at f={f}, a={a} "
             "(the query count overflows a float)"
@@ -293,57 +320,153 @@ _RELAXATION = 0.5
 _TOLERANCE = 1e-9
 _STEP_LIMIT = 1000
 
+# Each feedback model's coupled pair: the source it reports, then its depth
+# and feedback formulas by name. The formulas are looked up at call time, so
+# a rebinding of the module attribute is seen.
+_COUPLED = {
+    ModelKind.FEEDBACK_FIRST: (SolutionSource.MODEL1_COUPLED, "a1_star", "f1_star"),
+    ModelKind.FEEDBACK_AFTER: (SolutionSource.MODEL2_COUPLED, "a2_star_partial", "f2_star_coupled"),
+}
 
-def _start_depth(efficiency: EfficiencyParams, costs: CostParams) -> float:
+
+def _listed(value) -> list:
+    """A column's elements, or a plain value, as a list of plain values."""
+    return value.tolist() if isinstance(value, np.ndarray) else [value]
+
+
+def _one_by_one(call, size: int, *columns) -> list:
+    """``call`` on each of ``size`` instances in turn, with plain floats for
+    its ``columns`` (arrays and bundles of them): each instance's result, or
+    the :class:`EconError` it raises, without a traceback."""
+    results = []
+    for k in range(size):
+        args = [column[k].item() if isinstance(column, np.ndarray) else _instance(column, k) for column in columns]
+        try:
+            results.append(call(*args))
+        except EconError as exc:
+            results.append(exc.with_traceback(None))
+    return results
+
+
+def _start_depth(efficiency: EfficiencyParams, costs: CostParams):
+    """The baseline depth, or 1.0 where it has no interior optimum; instance
+    by instance for columns."""
     try:
         return a0_star(efficiency, costs)
     except NoInteriorOptimum:
-        return 1.0
+        if not isinstance(efficiency.alpha, np.ndarray):
+            return 1.0
+        return np.array(_one_by_one(_start_depth, len(efficiency.alpha), efficiency, costs))
+
+
+def _step(depth_at, feedback_at, f, a, efficiency, costs):
+    """One damped step from ``(f, a)``: the feedback formula's
+    :class:`ClampedValue`, then the next ``f`` and ``a``."""
+    fb = feedback_at(a, efficiency, costs)
+    f_next = f + _RELAXATION * (fb.value - f)
+    return fb, f_next, a + _RELAXATION * (depth_at(f_next, efficiency, costs) - a)
 
 
 def _solve_coupled(
-    model: ModelKind,
-    source: SolutionSource,
-    depth: str,
-    feedback: str,
-    efficiency: EfficiencyParams,
-    costs: CostParams,
-    g: float,
-) -> ClosedFormSolution:
-    """Joint strategy from a depth formula and a feedback formula that each
-    take the other's output, by damped Gauss-Seidel from the baseline depth.
+    model: ModelKind, efficiency: EfficiencyParams, costs: CostParams, g: float,
+) -> list[Union[ClosedFormSolution, EconError]]:
+    """Joint strategies from a depth formula and a feedback formula that each
+    take the other's output (the model's ``_COUPLED`` row), by damped
+    Gauss-Seidel from the baseline depth; the query count is recovered from
+    the gain floor at the end.
 
-    ``depth`` and ``feedback`` name the formulas in this module; they are
-    looked up at call time, so a rebinding of the module attribute is seen.
-    Raises :class:`Diverged` when the iteration cap is hit or the iterates
-    stop being finite; the query count is recovered from the gain floor at
-    the end.
+    ``efficiency`` and ``costs`` hold one instance's plain floats or K
+    instances' (K,) columns; a step is then one pass of the formulas over
+    the columns of the instances still iterating. Each instance stops at its
+    own step, so it gets the bits of its own solve on plain floats, or the
+    error that solve raises: a formula's refusal, a non-finite iterate or
+    the step cap (:class:`Diverged`), or a query count :func:`recover_q`
+    rejects. A call over columns that raises is repeated instance by
+    instance on plain floats (:func:`_one_by_one`), and only the instances
+    whose own call raises drop out. Returns one result per instance: plain
+    floats raise their error, and columns return each error in its
+    instance's place.
     """
     g = check_gain(g)
+    source, depth, feedback = _COUPLED[model]
     depth_at, feedback_at = globals()[depth], globals()[feedback]
-    a = _start_depth(efficiency, costs)
-    f = 0.0
-    for iteration in range(1, _STEP_LIMIT + 1):
-        fb = feedback_at(a, efficiency, costs)
-        f_next = f + _RELAXATION * (fb.value - f)
-        a_next = a + _RELAXATION * (depth_at(f_next, efficiency, costs) - a)
-        if not (math.isfinite(f_next) and math.isfinite(a_next)):
-            raise Diverged(f"fixed-point iterate left the finite range at step {iteration}")
-        step = max(abs(f_next - f), abs(a_next - a))
-        f, a = f_next, a_next
-        if step < _TOLERANCE:
-            break
-    else:
-        raise Diverged(f"fixed point not reached after {_STEP_LIMIT} iterations")
-    q = recover_q(g, f, a, model, efficiency)
-    corner = f == 0.0 and fb.raw < 0.0
-    return ClosedFormSolution(
-        strategy=Strategy(model, q=q, f=f, a=a),
-        source=source,
-        corner=corner,
-        iterations=iteration,
-        raw_f=fb.raw if corner else None,
-    )
+    lone = not isinstance(efficiency.alpha, np.ndarray)
+    # On plain floats, numpy's checks would cost more than the step itself.
+    isfinite, larger = (math.isfinite, max) if lone else (np.isfinite, np.maximum)
+    live = np.arange(1 if lone else len(efficiency.alpha))  # the instances still iterating
+    results: list = [None] * len(live)
+    settled = []  # per step where instances converged: (instances, step, f, a, raw f)
+    eff, cst = efficiency, costs  # the live instances' parameters
+    with np.errstate(all="ignore"):
+        a = _start_depth(efficiency, costs)
+        f = 0.0 if lone else np.zeros(len(live))
+        for iteration in range(1, _STEP_LIMIT + 1):
+            try:
+                fb, f_next, a_next = _step(depth_at, feedback_at, f, a, eff, cst)
+            except EconError:
+                if lone:
+                    raise
+                steps = _one_by_one(partial(_step, depth_at, feedback_at), len(live), f, a, eff, cst)
+                keep = []
+                for i, (k, one) in enumerate(zip(live.tolist(), steps)):
+                    if isinstance(one, EconError):
+                        results[k] = one
+                    else:
+                        keep.append(i)
+                if not keep:
+                    break
+                live, f, a, eff, cst = live[keep], f[keep], a[keep], _taken(eff, keep), _taken(cst, keep)
+                fb = ClampedValue(*map(np.array, zip(*(steps[i][0] for i in keep))))
+                f_next, a_next = map(np.array, zip(*(steps[i][1:] for i in keep)))
+            finite = isfinite(f_next) & isfinite(a_next)
+            going = finite & (larger(abs(f_next - f), abs(a_next - a)) >= _TOLERANCE)
+            f, a = f_next, a_next
+            if going is True or not lone and len(live) and going.all():
+                continue
+            diverged = f"fixed-point iterate left the finite range at step {iteration}"
+            if lone:
+                if not finite:
+                    raise Diverged(diverged)
+                settled.append((live, iteration, f, a, fb.raw))
+                break
+            for k in live[~finite].tolist():
+                results[k] = Diverged(diverged)
+            done = finite & ~going
+            settled.append((live[done], np.full(np.count_nonzero(done), iteration), f[done], a[done], fb.raw[done]))
+            live, f, a, eff, cst = live[going], f[going], a[going], _taken(eff, going), _taken(cst, going)
+            if not len(live):
+                break
+        else:
+            cap = f"fixed point not reached after {_STEP_LIMIT} iterations"
+            if lone:
+                raise Diverged(cap)
+            for k in live.tolist():
+                results[k] = Diverged(cap)
+
+        if not settled:
+            return results
+        # The converged instances, as plain values for one instance, else as
+        # columns; the query counts are recovered in one call.
+        instances, iterations, f, a, raw = settled[0] if lone else map(np.concatenate, zip(*settled))
+        at = efficiency if lone else _taken(efficiency, instances)
+        try:
+            qs = _listed(recover_q(g, f, a, model, at))
+        except EconError:
+            if lone:
+                raise
+            qs = _one_by_one(lambda f_k, a_k, at_k: recover_q(g, f_k, a_k, model, at_k), len(instances), f, a, at)
+        corners = _listed((f == 0.0) & (raw < 0.0))
+        for k, q, f_k, a_k, raw_k, corner, iteration in zip(
+            _listed(instances), qs, _listed(f), _listed(a), _listed(raw), corners, _listed(iterations),
+        ):
+            results[k] = q if isinstance(q, EconError) else ClosedFormSolution(
+                strategy=Strategy(model, q=q, f=f_k, a=a_k),
+                source=source,
+                corner=corner,
+                iterations=iteration,
+                raw_f=raw_k if corner else None,
+            )
+    return results
 
 
 def model1_solve(efficiency: EfficiencyParams, costs: CostParams, g: float) -> ClosedFormSolution:
@@ -353,10 +476,7 @@ def model1_solve(efficiency: EfficiencyParams, costs: CostParams, g: float) -> C
     other's output), so the pair is resolved as a damped fixed point and the
     query count is recovered from the gain floor at the end.
     """
-    return _solve_coupled(
-        ModelKind.FEEDBACK_FIRST, SolutionSource.MODEL1_COUPLED, "a1_star", "f1_star",
-        efficiency, costs, g,
-    )
+    return _solve_coupled(ModelKind.FEEDBACK_FIRST, efficiency, costs, g)[0]
 
 
 def solve_model2_partial(
@@ -393,8 +513,8 @@ def solve_model2_full(
     depth = a2_star_full(fb.value, efficiency, costs)
     if depth.value <= 0.0:
         raise NoInteriorOptimum(
-            "m2 full-depth formula clamped to zero assessments "
-            f"(raw value {depth.raw}); no finite strategy reaches the gain floor"
+                "m2 full-depth formula clamped to zero assessments "
+                f"(raw value {depth.raw}); no finite strategy reaches the gain floor"
         )
     q = recover_q(g, fb.value, depth.value, ModelKind.FEEDBACK_AFTER, efficiency)
     return ClosedFormSolution(
@@ -412,10 +532,7 @@ def model2_solve_coupled(efficiency: EfficiencyParams, costs: CostParams, g: flo
     Same fixed-point scheme as :func:`model1_solve`, over
     :func:`f2_star_coupled` and :func:`a2_star_partial`.
     """
-    return _solve_coupled(
-        ModelKind.FEEDBACK_AFTER, SolutionSource.MODEL2_COUPLED, "a2_star_partial", "f2_star_coupled",
-        efficiency, costs, g,
-    )
+    return _solve_coupled(ModelKind.FEEDBACK_AFTER, efficiency, costs, g)[0]
 
 
 # Each model's closed-form routes, by function name, in their stable order.

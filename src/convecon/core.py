@@ -46,6 +46,7 @@ import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Union
 
 import numpy as np
@@ -151,6 +152,55 @@ def _require_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+class _Domain(NamedTuple):
+    """A parameter's valid values: above ``low``, or at it where ``closed``,
+    and at most ``high``; and the message for a value below or above."""
+
+    low: float
+    closed: bool
+    high: float
+    below: str
+    above: str
+
+
+def _exponent_domain(name: str) -> _Domain:
+    return _Domain(0.0, False, 1.0, f"{name} must be > 0", f"{name} must be <= 1")
+
+
+def _price_domain(name: str) -> _Domain:
+    return _Domain(0.0, False, math.inf, f"{name} must be > 0", "")
+
+
+# One row per model parameter, in field order.
+_DOMAINS = {
+    "alpha": _exponent_domain("alpha"),
+    "beta": _exponent_domain("beta"),
+    "gamma1": _Domain(0.0, True, math.inf, "gamma1 must be >= 0", ""),
+    "gamma2": _Domain(0.0, True, 1.0, "gamma2 must be in [0, 1]", "gamma2 must be in [0, 1]"),
+    "c_query": _price_domain("c_query"),
+    "c_feedback": _price_domain("c_feedback"),
+    "c_assess": _price_domain("c_assess"),
+}
+
+
+def _check_domain(name: str, value: float) -> None:
+    """Raise the parameter's :class:`DomainError` where the finite float
+    ``value`` lies outside its domain."""
+    low, closed, high, below, above = _DOMAINS[name]
+    if not (value >= low if closed else value > low):
+        raise DomainError(below)
+    if value > high:
+        raise DomainError(above)
+
+
+def _in_domain(name: str, values: np.ndarray) -> np.ndarray:
+    """Elementwise: which of ``values`` the parameter's constructor accepts
+    (finite and inside its domain)."""
+    low, closed, high, _, _ = _DOMAINS[name]
+    above_low = values >= low if closed else values > low
+    return np.isfinite(values) & above_low & (values <= high)
+
+
 @dataclass(frozen=True)
 class EfficiencyParams:
     """Gain-side elasticities.
@@ -173,18 +223,8 @@ class EfficiencyParams:
             value = _require_finite(name, given)
             if value is not given:
                 object.__setattr__(self, name, value)
-        if not self.alpha > 0.0:
-            raise DomainError("alpha must be > 0")
-        if self.alpha > 1.0:
-            raise DomainError("alpha must be <= 1")
-        if not self.beta > 0.0:
-            raise DomainError("beta must be > 0")
-        if self.beta > 1.0:
-            raise DomainError("beta must be <= 1")
-        if self.gamma1 < 0.0:
-            raise DomainError("gamma1 must be >= 0")
-        if not 0.0 <= self.gamma2 <= 1.0:
-            raise DomainError("gamma2 must be in [0, 1]")
+        for name in _EFFICIENCY_FIELDS:
+            _check_domain(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -201,8 +241,7 @@ class CostParams:
             value = _require_finite(name, given)
             if value is not given:
                 object.__setattr__(self, name, value)
-            if not value > 0.0:
-                raise DomainError(f"{name} must be > 0")
+            _check_domain(name, value)
 
 
 class ValidatedParams(NamedTuple):
@@ -328,6 +367,27 @@ def params_from_mapping(data: Mapping[str, object], *, source: str = "params") -
         efficiency = EfficiencyParams(**{k: data[k] for k in _EFFICIENCY_FIELDS})
         costs = CostParams(**{k: data[k] for k in _COST_FIELDS})
     return ValidatedParams(efficiency, costs)
+
+
+def _param_columns(columns: Mapping[str, object]) -> tuple[SimpleNamespace, SimpleNamespace]:
+    """K instances' parameters as an efficiency and a cost bundle, unvalidated,
+    each field the (K,) array ``columns`` holds under its name. The gain,
+    cost and closed-form arithmetic reads only the fields, so it runs on the
+    bundles elementwise."""
+    return (
+        SimpleNamespace(**{name: columns[name] for name in _EFFICIENCY_FIELDS}),
+        SimpleNamespace(**{name: columns[name] for name in _COST_FIELDS}),
+    )
+
+
+def _instance(params: SimpleNamespace, k: int) -> SimpleNamespace:
+    """Instance ``k`` of a bundle of parameter columns, as plain floats."""
+    return SimpleNamespace(**{name: column[k].item() for name, column in vars(params).items()})
+
+
+def _taken(params: SimpleNamespace, index) -> SimpleNamespace:
+    """A bundle of parameter columns, each column indexed by ``index``."""
+    return SimpleNamespace(**{name: column[index] for name, column in vars(params).items()})
 
 
 def load_params(path: Union[str, Path]) -> ValidatedParams:

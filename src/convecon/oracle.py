@@ -10,12 +10,14 @@ refinement rounds.
 The zoom search runs on a leading instance axis: K instances of one model
 and one pin kind are searched at once, their lattices stacked as
 (K, feedback, assessment) arrays, each instance with its own windows.
-:func:`_minimize_batch` is the one entry: it validates the instances and
-solves them in blocks sized by the nodes a round holds at once, at most
-``_BLOCK_NODES`` (at least one instance per block): one row of nodes per
-one-axis search and about four per joint search. At the audit grid (64
-points) a block holds 512 one-axis or 128 joint searches; at the default
-grid (200 points) 163 or 40, so a 25-step sweep is one block.
+:func:`_minimize_batch` is the one entry: it takes the instances as
+parameter columns, one (K,) array per field (:func:`_columns`), validates
+their pinned values and solves them in blocks sized by the nodes a round
+holds at once, at most ``_BLOCK_NODES`` (at least one instance per block):
+one row of nodes per one-axis search and about four per joint search. At
+the audit grid (64 points) a block holds 512 one-axis or 128 joint
+searches; at the default grid (200 points) 163 or 40, so a 25-step sweep is
+one block.
 :func:`minimize_cost` is its one-instance call, and the audit passes it
 every perturbed sample of a claim at once. Every instance gets the bits its
 own K=1 call gives, by three rules:
@@ -100,10 +102,12 @@ from .core import (
     EfficiencyParams,
     ModelKind,
     Strategy,
+    _instance,
     _model_row,
     _query_exponent,
     _require_count,
     _require_finite,
+    _taken,
     check_gain,
     cost,
     cost_value,
@@ -620,7 +624,7 @@ def _lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
         f_rows = f_axis[pair_owners, rows[lo:hi]][:, None]
         a_rows = a_axis[pair_owners]
         qv, total = _evaluate(
-            model, _gathered(efficiency, pair_owners), _gathered(costs, pair_owners), g, f_rows, a_rows,
+            model, _taken(efficiency, pair_owners), _taken(costs, pair_owners), g, f_rows, a_rows,
         )
         yield pair_owners, rows[lo:hi, None], f_rows, a_rows, qv, total
 
@@ -695,30 +699,33 @@ def _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, last):
 
 
 def _columns(params: Sequence) -> SimpleNamespace:
-    """K parameter bundles as one, each field a (K, 1, 1) column.
-
-    ``recover_q_value`` and ``cost_value`` only read the fields, so the
-    columns broadcast against K stacked lattices.
-    """
+    """K parameter bundles as one, each field a (K,) column: the form
+    :func:`_minimize_batch` takes K instances in."""
     return SimpleNamespace(**{
-        field.name: np.fromiter(map(attrgetter(field.name), params), float, len(params)).reshape(-1, 1, 1)
+        field.name: np.fromiter(map(attrgetter(field.name), params), float, len(params))
         for field in fields(params[0])
     })
 
 
-def _gathered(columns: SimpleNamespace, owners: np.ndarray) -> SimpleNamespace:
-    """The parameter columns of :func:`_columns`, one row per owner."""
-    return SimpleNamespace(**{name: column[owners] for name, column in vars(columns).items()})
+def _block(params: SimpleNamespace, block: list[int]) -> SimpleNamespace:
+    """The parameters of a block of instances (positions into the columns
+    ``params``): plain floats for one instance, which give the same bits as
+    a column and are faster, else (K, 1, 1) columns, which broadcast against
+    K stacked lattices."""
+    return _instance(params, block[0]) if len(block) == 1 else _taken(params, (block, None, None))
 
 
-def _check_pin(model: ModelKind, pin: Optional[str], value) -> None:
-    if pin == "f":
-        if not model.uses_feedback:
-            raise DomainError("a pinned f applies only to feedback models")
-        if not math.isfinite(value) or value < 0.0:
-            raise DomainError("a pinned f must be finite and >= 0")
-    elif pin == "a" and (not math.isfinite(value) or value <= 0.0):
-        raise DomainError("a pinned a must be finite and > 0")
+def _pin_errors(model: ModelKind, pin: Optional[str], values: Optional[np.ndarray]) -> dict[int, DomainError]:
+    """Per instance whose pinned value the search cannot take, its error."""
+    if pin == "f" and not model.uses_feedback:
+        message, bad = "a pinned f applies only to feedback models", np.ones(len(values), dtype=bool)
+    elif pin == "f":
+        message, bad = "a pinned f must be finite and >= 0", ~(np.isfinite(values) & (values >= 0.0))
+    elif pin == "a":
+        message, bad = "a pinned a must be finite and > 0", ~(np.isfinite(values) & (values > 0.0))
+    else:
+        return {}
+    return {k: DomainError(message) for k in np.flatnonzero(bad).tolist()}
 
 
 def minimize_cost(
@@ -739,7 +746,7 @@ def minimize_cost(
     feedback model with a zero feedback exponent) and are recorded in the
     grid metadata.
     """
-    results = _minimize_batch(model, [(efficiency, costs, None)], g, grid)
+    results = _minimize_batch(model, efficiency, costs, g, grid)
     if isinstance(results[0], EconError):
         # Popped, not bound to a name: the traceback would hold this frame,
         # and the frame the error, in a cycle only the collector frees.
@@ -764,30 +771,38 @@ def minimize_cost(
 
 def _minimize_batch(
     model: ModelKind,
-    instances: Sequence[tuple[EfficiencyParams, CostParams, Optional[float]]],
+    efficiency: EfficiencyParams,
+    costs: CostParams,
     g: float,
     grid: Optional[GridSpec] = None,
     *,
     pin: Optional[str] = None,
+    values=None,
 ) -> list[Union[_Incumbent, EconError]]:
     """The zoom search of :func:`minimize_cost` for many instances of one
     model and pin kind.
 
-    ``instances`` are ``(efficiency, costs, value)`` triples. With ``pin``
-    ``"f"`` or ``"a"``, that axis is held at each instance's ``value`` and
-    only the other is searched, which is how the claims audit asks
-    conditional questions ("best depth at this feedback level"); a pinned
-    axis is exempt from boundary diagnostics. ``value`` is ignored when
-    ``pin`` is None. Returns, in order, each
-    instance's incumbent or the :class:`EconError` its search ends in, kept
-    without a traceback; incumbents match their own K=1 calls bit for bit.
-    Instances are searched together in blocks whose rounds hold at most
+    ``efficiency`` and ``costs`` hold the instances' parameters: each field
+    a (K,) column (:func:`_columns`), or a plain float for one instance, as
+    in a parameter dataclass. With ``pin`` ``"f"`` or ``"a"``, that axis is
+    held at each instance's entry of ``values`` (a (K,) column, or a float
+    for one instance) and only the other is searched, which is how the
+    claims audit asks conditional questions ("best depth at this feedback
+    level"); a pinned axis is exempt from boundary diagnostics. ``values``
+    is ignored when ``pin`` is None. Returns, in order, each instance's
+    incumbent or the :class:`EconError` its search ends in, kept without a
+    traceback; incumbents match their own K=1 calls bit for bit. Instances
+    are searched together in blocks whose rounds hold at most
     ``_BLOCK_NODES`` nodes at once, and at least one instance.
     """
     g = check_gain(g)
     if not isinstance(model, ModelKind):
         model = ModelKind.from_code(model)
     spec = grid if grid is not None else _DEFAULT_GRID
+    lone = not isinstance(efficiency.alpha, np.ndarray)
+    size = 1 if lone else len(efficiency.alpha)
+    if pin is not None:
+        values = np.asarray(values, dtype=float).reshape(size)
     # Searches per block: a one-axis round holds one row of nodes per
     # search. A joint round holds its floors, a probe row and its kept rows
     # (2.2 a round for the audit's m2 searches) with their gathered
@@ -798,46 +813,39 @@ def _minimize_batch(
     rows = 4 if model.uses_feedback and pin is None else 1
     cap = max(1, _BLOCK_NODES // (rows * spec.points))
 
-    results: list = [None] * len(instances)
-    pending = []
-    for i, (_, _, value) in enumerate(instances):
-        try:
-            _check_pin(model, pin, value)
-        except DomainError as exc:
-            results[i] = exc.with_traceback(None)
-            continue
-        pending.append(i)
+    results: list = [None] * size
+    for k, error in _pin_errors(model, pin, values).items():
+        results[k] = error
+    pending = [k for k, result in enumerate(results) if result is None]
     for start in range(0, len(pending), cap):
         block = pending[start:start + cap]
-        solved = _search(model, [instances[i] for i in block], g, spec, pin)
-        for i, result in zip(block, solved):
-            results[i] = result
+        params = (efficiency, costs) if lone else (_block(efficiency, block), _block(costs, block))
+        solved = _search(model, *params, len(block), None if pin is None else values[block], g, spec, pin)
+        for k, result in zip(block, solved):
+            results[k] = result
     return results
 
 
 def _search(
     model: ModelKind,
-    instances: Sequence[tuple[EfficiencyParams, CostParams, Optional[float]]],
+    efficiency,
+    costs,
+    size: int,
+    values: Optional[np.ndarray],
     g: float,
     spec: GridSpec,
     pin: Optional[str],
 ) -> list[Union[_Incumbent, EconError]]:
-    """The zoom search for one block of K validated instances, their
+    """The zoom search for one block of ``size`` validated instances, their
     lattices stacked on a leading axis; each instance keeps its own
-    windows. Returns what :func:`_minimize_batch` does for the block.
+    windows. ``efficiency`` and ``costs`` are the block's parameters
+    (:func:`_block`), and ``values`` its (K,) pinned values, None without a
+    pin. Returns what :func:`_minimize_batch` does for the block.
 
     The lattices live in the thread's workspace (:func:`_workspace`) and
     only floats copied out of them are returned, so this is not re-entrant
     within a thread."""
-    size = len(instances)
-    if size == 1:
-        # Float parameters at K=1: the same bits, and faster than columns.
-        efficiency, costs = instances[0][0], instances[0][1]
-    else:
-        efficiency = _columns([instance[0] for instance in instances])
-        costs = _columns([instance[1] for instance in instances])
-    values = [instance[2] for instance in instances]
-    pinned = np.array(values).reshape(size, 1) if pin is not None else None
+    pinned = values.reshape(size, 1) if pin is not None else None
     # A model without feedback searches the single feedback row f = 0.
     f_fixed = pinned if pin == "f" else None if model.uses_feedback else np.zeros((size, 1))
     a_fixed = pinned if pin == "a" else None
@@ -895,7 +903,7 @@ def _search(
         for k in (at == 0).nonzero()[0].tolist():
             if axis[k, 0] == spec.min:
                 corners[k] += 1 if symbol == "f" else 2
-    pinned_ends = [(value, value) for value in values] if pin is not None else None
+    pinned_ends = [(value, value) for value in values.tolist()] if pin is not None else None
     lo, hi = windows.ends[:rows], windows.ends[rows:]
     a_ends = pinned_ends if pin == "a" else list(zip(lo[rows - size:], hi[rows - size:]))
     f_ends = pinned_ends if pin == "f" else [None] * size if f_fixed is not None else list(zip(lo[:size], hi[:size]))

@@ -179,6 +179,7 @@ def simulate(
     if sigma < 0.0:
         raise DomainError("sigma must be >= 0")
     n = _require_count("n", n, 1)
+    seed = _require_count("seed", seed, 0)
 
     base_gain = gain(strategy, efficiency)
     base_cost = cost(strategy, costs)
@@ -455,7 +456,7 @@ def viability(
     not_comparable = []
     cheapest = ModelKind.BASELINE
     for model in ModelKind:
-        results = _minimize_batch(model, [(efficiency, costs, None)], g, grid)
+        results = _minimize_batch(model, efficiency, costs, g, grid)
         if model.uses_feedback and isinstance(results[0], Unbounded):
             strategies[model.code] = totals[model.code] = None
             worthwhile[model.code] = False

@@ -24,15 +24,24 @@ formula route calls the ``closed_form`` function the variant is named after,
 the oracle route pins the coordinate the formula is given, the agreement
 rows and their names, and each claim's model and quantity, all follow from
 that row.
+
+The audit holds its samples as columns: one float64 array per axis of
+``AXIS_ORDER``. Moving a parameter, evaluating a printed formula, solving a
+coupled pair and taking differences and deviations are each one array pass
+over a claim's samples, with the float arithmetic of a sample on its own,
+so every sample keeps the bits it would get alone. Where a formula refuses
+some sample, the call over the columns raises and is repeated sample by
+sample on plain floats.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +53,9 @@ from .core import (
     EfficiencyParams,
     ModelKind,
     Strategy,
+    _DOMAINS,
+    _in_domain,
+    _param_columns,
     _require_count,
     _require_finite,
     check_gain,
@@ -55,7 +67,7 @@ from .core import (
 from .errors import DomainError, EconError
 # minimize_cost is not called here; it stays a module name because the
 # benchmark's tracer rebinds ``statics.minimize_cost``.
-from .oracle import GridSpec, _Incumbent, _minimize_batch, minimize_cost
+from .oracle import GridSpec, _columns, _minimize_batch, minimize_cost
 
 __all__ = [
     "Quantity",
@@ -74,16 +86,16 @@ __all__ = [
     "DEFAULT_AUDIT_GRID",
 ]
 
-# Lighter than the oracle's default: the audit solves about 46 instances per
-# sample (about 9,100 at 200 samples), every one different, and only needs
-# ~0.3% component accuracy for sign and 5%-agreement work.
+# Lighter than the oracle's default: the audit solves 46 instances per
+# sample (22 claims at two moved points each, plus two joint agreement
+# solves: 9,200 at 200 samples), every one different, and only needs ~0.3%
+# component accuracy for sign and 5%-agreement work.
 DEFAULT_AUDIT_GRID = GridSpec(points=64, refinements=2)
 
 AXIS_ORDER = PARAM_FIELDS + ("f", "a")
 
 SIGN_POSITIVE = "+"
 SIGN_NEGATIVE = "-"
-SIGN_FLAT = "0"
 
 FLAT_THRESHOLD = 1e-9
 
@@ -229,7 +241,7 @@ class ParameterRegion:
         names = [name for name, _, _ in self.bounds]
         if names != list(AXIS_ORDER):
             raise DomainError(f"region must define exactly the axes {', '.join(AXIS_ORDER)} in order")
-        caps = {"alpha": 1.0, "beta": 1.0, "gamma2": 1.0}
+        caps = {name: domain.high for name, domain in _DOMAINS.items() if domain.high < math.inf}
         bounds = []
         for name, lo, hi in self.bounds:
             lo = _require_finite(f"region axis {name} lo", lo)
@@ -323,80 +335,48 @@ def _holder_of(name: str) -> str:
         raise DomainError(f"unknown parameter {name!r}") from None
 
 
-def _sign_of(derivative: float) -> str:
-    if abs(derivative) < FLAT_THRESHOLD:
-        return SIGN_FLAT
-    return SIGN_POSITIVE if derivative > 0.0 else SIGN_NEGATIVE
+# A route's values at a set of points, as columns over the points: (value,
+# clamped, evaluated). Where a point is not evaluated, its value and clamped
+# flag mean nothing.
+_Values = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _formula_value(variant: FormulaVariant, point: SamplePoint) -> tuple[float, bool]:
-    """(value, clamped) of the variant's printed formula at ``point``.
+def _formula_values(variant: FormulaVariant, points: Mapping[str, np.ndarray]) -> _Values:
+    """The formula route: the variant's printed formula at every point.
 
-    The formula is given ``point``'s coordinate named by the variant's row;
-    formulas without clamping always report clamped=False, so the audit can
-    censor corner samples.
+    The formula is given the points' coordinate named by the variant's row,
+    and is called once on the columns. Where that call raises, it is called
+    point by point on plain floats, and a point whose own call raises is not
+    evaluated. A formula without clamping is never clamped.
     """
+    formula = getattr(cf, variant.value)
     given = _VARIANTS[variant].given
-    args = () if given is None else (getattr(point, given),)
-    value = getattr(cf, variant.value)(*args, point.efficiency, point.costs)
-    if isinstance(value, cf.ClampedValue):
-        return value.value, value.corner
-    return value, False
-
-
-def _component(incumbent: _Incumbent, quantity: Quantity, grid: GridSpec) -> tuple[float, bool]:
-    """(component, at_corner) of an oracle incumbent for ``quantity``."""
-    component = getattr(incumbent, _AXIS[quantity])
-    return component, component <= grid.min * (1.0 + 1e-9)
-
-
-def _perturbed(point: SamplePoint, parameter: str, h: float) -> tuple[float, SamplePoint, SamplePoint]:
-    """(base, point at base*(1+h), point at base*(1-h)) for a relative
-    central difference in ``parameter``."""
-    base = point.value_of(parameter)
-    if base == 0.0:
-        raise DomainError(f"{parameter} is 0; a relative step needs a non-zero value")
+    args = (() if given is None else (points[given],)) + _param_columns(points)
+    size = len(points["f"])
+    with np.errstate(all="ignore"):
+        try:
+            return (*_read(formula(*args)), np.ones(size, dtype=bool))
+        except EconError:
+            results = cf._one_by_one(formula, size, *args)
+    evaluated = [not isinstance(result, EconError) for result in results]
+    pairs = [_read(result) if ok else (np.nan, False) for result, ok in zip(results, evaluated)]
     return (
-        base,
-        point.with_param(parameter, base * (1.0 + h)),
-        point.with_param(parameter, base * (1.0 - h)),
+        np.array([value for value, _ in pairs], dtype=float),
+        np.array([clamped for _, clamped in pairs], dtype=bool),
+        np.array(evaluated, dtype=bool),
     )
 
 
-def _difference(
-    hi: tuple[float, bool], lo: tuple[float, bool], base: float, h: float,
-) -> tuple[str, bool]:
-    """(sign, censored) of one central difference from the (value, clamped)
-    pairs at ``base*(1+h)`` and ``base*(1-h)``."""
-    (hi_value, hi_clamped), (lo_value, lo_clamped) = hi, lo
-    if hi_clamped or lo_clamped:
-        return SIGN_FLAT, True
-    derivative = (hi_value - lo_value) / (2.0 * h * base)
-    return _sign_of(derivative), False
-
-
-# A route's values at a list of points: one (value, clamped) pair per point,
-# or None where the route cannot evaluate there.
-_Values = list[Optional[tuple[float, bool]]]
-
-# A route's outcome at one sample: (sign, censored), or None when it cannot
-# evaluate there.
-_Outcome = Optional[tuple[str, bool]]
-
-
-def _formula_values(variant: FormulaVariant, points: Sequence[SamplePoint]) -> _Values:
-    """The formula route: the variant's printed formula at every point."""
-    values: _Values = []
-    for point in points:
-        try:
-            values.append(_formula_value(variant, point))
-        except EconError:
-            values.append(None)
-    return values
+def _read(result) -> tuple:
+    """(value, clamped) of a formula's output, plain or columns; a formula
+    without clamping is never clamped."""
+    if isinstance(result, cf.ClampedValue):
+        return result.value, result.corner
+    return result, np.zeros(np.shape(result), dtype=bool)
 
 
 def _oracle_values(
-    variant: FormulaVariant, points: Sequence[SamplePoint], *, g: float, grid: GridSpec,
+    variant: FormulaVariant, points: Mapping[str, np.ndarray], *, g: float, grid: GridSpec,
 ) -> _Values:
     """The oracle route: the optimum the variant gives, conditioned as the
     formula is, at every point, as one batch.
@@ -407,44 +387,51 @@ def _oracle_values(
     component at the grid floor counts as clamped.
     """
     model, quantity, given = _VARIANTS[variant]
-    instances = [(p.efficiency, p.costs, None if given is None else getattr(p, given)) for p in points]
-    incumbents = _minimize_batch(model, instances, g, grid, pin=given)
-    return [None if isinstance(i, EconError) else _component(i, quantity, grid) for i in incumbents]
+    incumbents = _minimize_batch(
+        model, *_param_columns(points), g, grid, pin=given, values=None if given is None else points[given],
+    )
+    axis = _AXIS[quantity]
+    # An incumbent's coordinates are finite floats, so NaN marks an error.
+    value = np.array([np.nan if isinstance(i, EconError) else getattr(i, axis) for i in incumbents], dtype=float)
+    return value, value <= grid.min * (1.0 + 1e-9), ~np.isnan(value)
 
 
-def _steps(points: Sequence[SamplePoint], parameter: str, h: float) -> list:
-    """Every sample perturbed in ``parameter`` by the relative step ``h``
-    (:func:`_perturbed`), or None where the sample has no valid step."""
-    steps = []
-    for point in points:
-        try:
-            steps.append(_perturbed(point, parameter, h))
-        except EconError:
-            steps.append(None)
-    return steps
+def _step_columns(columns: Mapping[str, np.ndarray], parameter: str, h: float) -> tuple[np.ndarray, dict]:
+    """Every sample moved in ``parameter`` by the relative step ``h``, for a
+    central difference.
 
-
-def _outcomes(
-    values_at: Callable[[Sequence[SamplePoint]], _Values],
-    steps: Sequence,
-    h: float,
-) -> list[_Outcome]:
-    """One central difference per sample on one route, from the samples'
-    ``steps`` (:func:`_steps`).
-
-    The route is called once with every perturbed point, and each sample's
-    pair of values becomes its outcome; a sample is skipped when it has no
-    valid step or either of its values is missing.
+    Returns the mask of samples with a valid step, and the moved points as
+    columns: the valid samples at ``base*(1+h)``, then at ``base*(1-h)``. A
+    step is valid where the base is not zero and, for a model parameter,
+    both moved values lie in its domain (the check its constructor makes).
     """
-    values = iter(values_at([p for step in steps if step is not None for p in step[1:]]))
-    outcomes: list[_Outcome] = []
-    for step in steps:
-        pair = None if step is None else (next(values), next(values))
-        if pair is None or None in pair:
-            outcomes.append(None)
-        else:
-            outcomes.append(_difference(*pair, step[0], h))
-    return outcomes
+    base = columns[parameter]
+    with np.errstate(over="ignore"):  # a moved value that overflows is not valid
+        up, down = base * (1.0 + h), base * (1.0 - h)
+    valid = base != 0.0
+    if parameter in _DOMAINS:
+        valid &= _in_domain(parameter, up) & _in_domain(parameter, down)
+    moved = {name: np.concatenate((column[valid], column[valid])) for name, column in columns.items()}
+    moved[parameter] = np.concatenate((up[valid], down[valid]))
+    return valid, moved
+
+
+def _differences(values: _Values, base: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One central difference per sample with a valid step, from a route's
+    values at its moved points (:func:`_step_columns`) and the samples'
+    ``base`` values.
+
+    Returns (scored, sign): scored where both of the sample's values were
+    evaluated; the sign +1 or -1 where scored and neither value clamped nor
+    the derivative's magnitude below ``FLAT_THRESHOLD``, else 0.
+    """
+    value, clamped, evaluated = values
+    m = len(base)
+    with np.errstate(all="ignore"):
+        derivative = (value[:m] - value[m:]) / (2.0 * h * base)
+    scored = evaluated[:m] & evaluated[m:]
+    signed = scored & ~(clamped[:m] | clamped[m:] | (np.abs(derivative) < FLAT_THRESHOLD))
+    return scored, np.where(signed, np.where(derivative > 0.0, 1, -1), 0)
 
 
 @dataclass(frozen=True)
@@ -531,24 +518,21 @@ class FormulaAgreement:
 
 
 # Each feedback model's agreement section ends with its coupled fixed-point
-# solve, scored on both coordinates: (row name, closed_form solver name).
-_COUPLED_PAIRS = {
-    _M1: ("model1_coupled_pair", "model1_solve"),
-    _M2: ("model2_coupled_pair", "model2_solve_coupled"),
-}
+# solve (closed_form's coupled pair), scored on both coordinates.
+_COUPLED_PAIRS = {_M1: "model1_coupled_pair", _M2: "model2_coupled_pair"}
 
 
-def _agreement_rows(model: ModelKind) -> tuple[tuple[str, FormulaVariant | str], ...]:
-    """The model's agreement rows as (name, source): each of its variants in
-    enum order, given the coordinate it conditions on from the joint oracle
-    optimum, then its coupled pair."""
+def _agreement_rows(model: ModelKind) -> tuple[tuple[str, Optional[FormulaVariant]], ...]:
+    """The model's agreement rows as (name, variant): each of its variants
+    in enum order, given the coordinate it conditions on from the joint
+    oracle optimum, then its coupled pair, whose variant is None."""
     rows = []
     for variant in FormulaVariant:
         row = _VARIANTS[variant]
         if row.model is model:
             suffix = "" if row.given is None else f"_at_oracle_{row.given}"
             rows.append((variant.value + suffix, variant))
-    return tuple(rows) + (_COUPLED_PAIRS[model],)
+    return tuple(rows) + ((_COUPLED_PAIRS[model], None),)
 
 
 _AGREEMENT_SECTIONS = tuple((model, _agreement_rows(model)) for model in _COUPLED_PAIRS)
@@ -621,14 +605,40 @@ class ClaimAuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _draw_point(rng: np.random.Generator, region: ParameterRegion) -> SamplePoint:
-    values = {
-        name: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        for name, lo, hi in region.bounds
-    }
-    f, a = values.pop("f"), values.pop("a")
-    efficiency, costs = params_from_mapping(values, source="region sample")
-    return SamplePoint(efficiency, costs, f=f, a=a)
+def _draw_columns(seed: int, samples: int, region: ParameterRegion) -> dict[str, np.ndarray]:
+    """The audit's samples as one (samples,) column per axis, in
+    ``AXIS_ORDER``: log-uniform in the region, each sample drawn from its
+    own substream spawned off ``seed``, one double per axis. The drawn
+    parameters are checked as their constructors check them.
+
+    Each value is ``exp(low + (high - low) * u)`` for the logs of the axis
+    bounds and the substream's next double ``u``: the arithmetic of the
+    generator's ``uniform`` followed by ``exp``, done once over all samples.
+    """
+    bounds = np.array([(lo, hi) for _, lo, hi in region.bounds])
+    lows, highs = np.log(bounds[:, 0]), np.log(bounds[:, 1])
+    doubles = np.array([
+        np.random.default_rng(stream).random(len(bounds))
+        for stream in np.random.SeedSequence(seed).spawn(samples)
+    ])
+    columns = dict(zip(AXIS_ORDER, np.exp(lows + (highs - lows) * doubles).T.copy()))
+    for name in PARAM_FIELDS:
+        outside = np.flatnonzero(~_in_domain(name, columns[name]))
+        if len(outside):
+            # The first offending sample raises its constructor's error.
+            row = _row(columns, outside[0])
+            params_from_mapping({name: row[name] for name in PARAM_FIELDS}, source="region sample")
+    return columns
+
+
+def _row(columns: Mapping[str, np.ndarray], index: int) -> dict[str, float]:
+    """One sample of the columns, every axis as a plain float, in their order."""
+    return {name: column[index].item() for name, column in columns.items()}
+
+
+def _deviations(formula_values: np.ndarray, oracle_values: np.ndarray) -> np.ndarray:
+    """The relative deviation of each formula value from its oracle value."""
+    return np.abs(formula_values - oracle_values) / np.maximum(np.abs(oracle_values), 1e-12)
 
 
 class _AgreementTally:
@@ -638,15 +648,10 @@ class _AgreementTally:
         self.deviations: list[float] = []
         self.skipped = 0
 
-    def add(self, formula_values: Sequence[float], oracle_values: Sequence[float]) -> None:
-        """Tally the largest relative deviation over the paired components."""
-        self.deviations.append(max(
-            abs(fv - ov) / max(abs(ov), 1e-12)
-            for fv, ov in zip(formula_values, oracle_values)
-        ))
-
-    def skip(self) -> None:
-        self.skipped += 1
+    def add(self, deviations: np.ndarray, skipped: int) -> None:
+        """Tally scored samples' deviations and the count of skipped ones."""
+        self.deviations += deviations.tolist()
+        self.skipped += skipped
 
     def finish(self, name: str) -> FormulaAgreement:
         n = len(self.deviations)
@@ -664,22 +669,9 @@ class _AgreementTally:
         )
 
 
-def _formula_components(
-    source: FormulaVariant | str, at: SamplePoint, g: float,
-) -> Optional[dict[str, float]]:
-    """The formula side of one agreement row, keyed by strategy coordinate,
-    or None when the formula is clamped. ``source`` is a variant, evaluated
-    at the joint oracle optimum ``at``, or a coupled solver's name."""
-    if isinstance(source, FormulaVariant):
-        value, clamped = _formula_value(source, at)
-        return None if clamped else {_AXIS[_VARIANTS[source].quantity]: value}
-    strategy = getattr(cf, source)(at.efficiency, at.costs, g).strategy
-    return {"f": strategy.f, "a": strategy.a}
-
-
 def _collect_agreement(
     tallies: dict[str, _AgreementTally],
-    points: Sequence[SamplePoint],
+    columns: Mapping[str, np.ndarray],
     g: float,
     grid: GridSpec,
 ) -> None:
@@ -687,27 +679,46 @@ def _collect_agreement(
 
     Each feedback model's joint oracle solves all samples as one batch. A
     model's rows are all skipped at a sample where its joint oracle has no
-    optimum or puts feedback at the grid floor; a row alone is skipped when
-    its formula raises or is clamped.
+    optimum or puts feedback at the grid floor. At the other samples, each
+    row is one call over their columns: a variant's formula, given the
+    coordinate it conditions on from the joint optimum, and the model's
+    coupled pair. A sample alone is skipped on a row where the formula
+    raises or is clamped, or where the coupled solve fails.
     """
     for model, rows in _AGREEMENT_SECTIONS:
-        joints = _minimize_batch(model, [(p.efficiency, p.costs, None) for p in points], g, grid)
-        for point, joint in zip(points, joints):
-            if isinstance(joint, EconError) or "f" in joint.lower_corner_axes:
-                for name, _ in rows:
-                    tallies[name].skip()
-                continue
-            at = replace(point, f=joint.f, a=joint.a)
-            for name, source in rows:
-                try:
-                    formula = _formula_components(source, at, g)
-                except EconError:
-                    formula = None
-                if formula is None:
-                    tallies[name].skip()
-                else:
-                    oracle_values = tuple(getattr(joint, axis) for axis in formula)
-                    tallies[name].add(tuple(formula.values()), oracle_values)
+        joints = _minimize_batch(model, *_param_columns(columns), g, grid)
+        scored = [
+            i for i, joint in enumerate(joints)
+            if not isinstance(joint, EconError) and "f" not in joint.lower_corner_axes
+        ]
+        at = {name: column[scored] for name, column in columns.items()}
+        at["f"] = np.array([joints[i].f for i in scored], dtype=float)
+        at["a"] = np.array([joints[i].a for i in scored], dtype=float)
+        unscored = len(joints) - len(scored)
+        for name, variant in rows:
+            if variant is not None:
+                value, clamped, evaluated = _formula_values(variant, at)
+                kept = evaluated & ~clamped
+                axis = _AXIS[_VARIANTS[variant].quantity]
+                deviations = _deviations(value[kept], at[axis][kept])
+            else:
+                solutions = cf._solve_coupled(model, *_param_columns(at), g)
+                kept = np.array([not isinstance(solution, EconError) for solution in solutions], dtype=bool)
+                f_dev, a_dev = (
+                    _deviations(
+                        np.array([getattr(s.strategy, axis) for s in solutions if not isinstance(s, EconError)]),
+                        at[axis][kept],
+                    )
+                    for axis in ("f", "a")
+                )
+                # The larger of the two, the first where they tie.
+                deviations = np.where(a_dev > f_dev, a_dev, f_dev)
+            tallies[name].add(deviations, unscored + int(np.count_nonzero(~kept)))
+
+
+# Each sign as the audit's columns hold it.
+_SIGN_CODES = {SIGN_POSITIVE: 1, SIGN_NEGATIVE: -1}
+_SIGNS = {1: SIGN_POSITIVE, -1: SIGN_NEGATIVE, 0: None}
 
 
 def audit_claims(
@@ -728,15 +739,20 @@ def audit_claims(
     (``FORMULA_H``) because grid quantisation drowns the formulas' step.
 
     Deterministic for fixed arguments: each sample gets its own spawned
-    random substream, and aggregation order is fixed. Every sample is drawn
-    first. The claims then run grouped by parameter: each sample is
-    perturbed once per parameter and step, and each route evaluates all of
-    a claim's perturbed samples in one call.
+    random substream, and aggregation order is fixed. The samples are held
+    as columns, one array per axis, and every sample is drawn first. The
+    claims then run grouped by parameter: the samples are moved once per
+    parameter and step (:func:`_step_columns`), and each route evaluates a
+    claim at all of the moved samples in one call, as arrays: one pass of
+    the printed formula, or one batch of oracle searches. A formula call
+    that raises is repeated sample by sample on plain floats, so each
+    sample gets the value or the skip its own call gives.
     """
     region = region if region is not None else default_region()
     grid = grid if grid is not None else DEFAULT_AUDIT_GRID
     g = check_gain(g)
     samples = _require_count("samples", samples, 1)
+    seed = _require_count("seed", seed, 0)
 
     # One row per route: (name, relative step, values at a variant's points).
     routes = (
@@ -744,58 +760,48 @@ def audit_claims(
         ("oracle", ORACLE_H, partial(_oracle_values, g=g, grid=grid)),
     )
     registry = claim_registry()
-    # Keyed by ClaimAudit's field names: n_, holds_, flat_, skipped_ per route.
-    stats = [f"{stat}_{route}" for route, _, _ in routes for stat in ("n", "holds", "flat", "skipped")]
-    counts = {claim.id: dict.fromkeys(stats, 0) for claim in registry}
+    counts: dict[str, dict[str, int]] = {claim.id: {} for claim in registry}
     counterexamples: dict[str, list[dict]] = {claim.id: [] for claim in registry}
     tallies = {name: _AgreementTally() for _, rows in _AGREEMENT_SECTIONS for name, _ in rows}
 
-    streams = np.random.SeedSequence(seed).spawn(samples)
-    points = [_draw_point(np.random.default_rng(stream), region) for stream in streams]
+    columns = _draw_columns(seed, samples, region)
 
-    # Claims on one parameter share its perturbed points: each (parameter,
-    # step) is perturbed once, and one route's points are held at a time.
+    # Claims on one parameter share its moved samples: each (parameter,
+    # step) is moved once, and one route's points are held at a time.
     by_parameter: dict[str, list[Claim]] = {}
     for claim in registry:
         by_parameter.setdefault(claim.parameter, []).append(claim)
     for parameter, claims in by_parameter.items():
-        signs: dict[str, dict[str, list[Optional[str]]]] = {claim.id: {} for claim in claims}
+        # Per claim and route, each sample's sign code; 0 where it has none.
+        signs: dict[str, dict[str, np.ndarray]] = {claim.id: {} for claim in claims}
         for route, h, values_at in routes:
-            steps = _steps(points, parameter, h)
+            valid, moved = _step_columns(columns, parameter, h)
+            base = columns[parameter][valid]
             for claim in claims:
-                tally = counts[claim.id]
-                route_signs = signs[claim.id][route] = []
-                for outcome in _outcomes(partial(values_at, claim.formula_variant), steps, h):
-                    sign: Optional[str] = None
-                    if outcome is None:
-                        tally[f"skipped_{route}"] += 1
-                    else:
-                        sign, censored = outcome
-                        if censored or sign == SIGN_FLAT:
-                            tally[f"flat_{route}"] += 1
-                            sign = None
-                        else:
-                            tally[f"n_{route}"] += 1
-                            if sign == claim.expected_sign:
-                                tally[f"holds_{route}"] += 1
-                    route_signs.append(sign)
-            del steps
+                scored, sign = _differences(values_at(claim.formula_variant, moved), base, h)
+                n, evaluated = int(np.count_nonzero(sign)), int(np.count_nonzero(scored))
+                counts[claim.id].update({
+                    f"n_{route}": n,
+                    f"holds_{route}": int(np.count_nonzero(sign == _SIGN_CODES[claim.expected_sign])),
+                    f"flat_{route}": evaluated - n,
+                    f"skipped_{route}": samples - evaluated,
+                })
+                signs[claim.id][route] = np.zeros(samples, dtype=int)
+                signs[claim.id][route][valid] = sign
+            del moved
 
         for claim in claims:
-            for point, formula_sign, oracle_sign in zip(points, signs[claim.id]["formula"], signs[claim.id]["oracle"]):
-                if (
-                    formula_sign is not None
-                    and formula_sign != claim.expected_sign
-                    and len(counterexamples[claim.id]) < 5
-                ):
-                    counterexamples[claim.id].append({
-                        "point": point.to_dict(),
-                        "expected": claim.expected_sign,
-                        "formula_sign": formula_sign,
-                        "oracle_sign": oracle_sign,
-                    })
+            formula_signs, oracle_signs = signs[claim.id]["formula"], signs[claim.id]["oracle"]
+            against = (formula_signs != 0) & (formula_signs != _SIGN_CODES[claim.expected_sign])
+            for i in np.flatnonzero(against)[:5].tolist():
+                counterexamples[claim.id].append({
+                    "point": _row(columns, i),
+                    "expected": claim.expected_sign,
+                    "formula_sign": _SIGNS[formula_signs[i]],
+                    "oracle_sign": _SIGNS[oracle_signs[i]],
+                })
 
-    _collect_agreement(tallies, points, g, grid)
+    _collect_agreement(tallies, columns, g, grid)
 
     rows = tuple(
         ClaimAudit(
@@ -924,7 +930,10 @@ def sweep(
             # steps before it, as it would step by step.
             failed.append(exc.with_traceback(None))
             break
-    results = _minimize_batch(model, [(point.efficiency, point.costs, None) for _, point in steps_at], g, grid)
+    points = [point for _, point in steps_at]
+    results = _minimize_batch(
+        model, _columns([p.efficiency for p in points]), _columns([p.costs for p in points]), g, grid,
+    )
     rows = []
     for i, (value, point) in enumerate(steps_at):
         formulas = _sweep_targets(point.efficiency, point.costs, g, target_names)

@@ -288,6 +288,14 @@ class TestAudit:
         assert result.exit_code == 2
         assert f"{region_path}: region axis alpha lo must be a number, got 'x'" in result.stderr
 
+    def test_negative_seed_is_invalid_input(self, runner, tmp_path):
+        out = tmp_path / "audit.json"
+        result = _run(runner, ["audit", "--samples", "3", "--seed", "-1", "--output", out])
+        assert result.exit_code == 2
+        assert "seed must be an integer >= 0" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -456,6 +464,15 @@ class TestSimulateAndFit:
         assert result.exit_code == 2
         assert "gain overflows a float at q=2.0, f=6000.0, a=1.0" in result.stderr
         assert not isinstance(result.exception, OverflowError)
+
+    def test_simulate_negative_seed_is_invalid_input(self, runner, params_file):
+        result = _run(runner, [
+            "simulate", "--model", "m1", "--params", params_file(), "--q", "2", "--f", "1", "--a", "2",
+            "--seed", "-1",
+        ])
+        assert result.exit_code == 2
+        assert "seed must be an integer >= 0" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_simulate_rejects_zero_queries(self, runner, params_file):
         result = _run(runner, [

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from convecon import closed_form
 from convecon.closed_form import (
+    ClampedValue,
+    _clamp_floor,
+    _one_by_one,
+    _solve_coupled,
     a0_star,
     a1_star,
     a2_star_full,
@@ -19,8 +24,10 @@ from convecon.closed_form import (
     solve_model2_full,
     solve_model2_partial,
 )
-from convecon.core import CostParams, EfficiencyParams, ModelKind, Strategy, gain
-from convecon.errors import Diverged, DomainError, NoInteriorOptimum
+from convecon.core import (
+    PARAM_FIELDS, CostParams, EfficiencyParams, ModelKind, Strategy, _param_columns, gain, params_from_mapping,
+)
+from convecon.errors import Diverged, DomainError, EconError, NoInteriorOptimum
 
 
 def eff(alpha=0.9, beta=0.3, gamma1=0.0, gamma2=0.0):
@@ -364,3 +371,158 @@ def test_solve_model2_full_marks_corner_when_clamped():
     solution = solve_model2_full(e, c, 100.0)
     assert solution.corner
     assert solution.strategy.f == 0.0
+
+
+# ------------------------------------------- columns against lone calls
+
+_FORMULAS = {  # each formula and the coordinate it is given
+    "a0_star": None, "a1_star": "f", "f1_star": "a", "a2_star_partial": "f",
+    "a2_star_full": "f", "f2_star": None, "f2_star_coupled": "a",
+}
+
+_RAISING = [
+    # alpha < beta: no baseline depth; the m2 depths and the m1 depth at
+    # little feedback refuse, and a negative f and a refuse everywhere.
+    dict(alpha=0.3, beta=0.5, gamma1=0.2, gamma2=0.5, c_query=10.0, c_feedback=2.0, c_assess=1.0, f=-1.0, a=-2.0),
+    dict(alpha=0.4, beta=0.4, gamma1=0.3, gamma2=0.4, c_query=5.0, c_feedback=1.0, c_assess=2.0, f=0.0, a=3.0),
+    dict(alpha=0.35, beta=0.9, gamma1=2.0, gamma2=0.2, c_query=1.0, c_feedback=0.5, c_assess=4.0, f=2.0, a=1.0),
+    # gamma1 = 0: the m1 iterates run away (Diverged).
+    dict(alpha=0.9, beta=0.3, gamma1=0.0, gamma2=0.5, c_query=10.0, c_feedback=2.0, c_assess=1.0, f=1.0, a=5.0),
+    # alpha == gamma2: the m2 full-depth and feedback formulas are undefined.
+    dict(alpha=0.7, beta=0.2, gamma1=0.1, gamma2=0.7, c_query=3.0, c_feedback=2.0, c_assess=1.0, f=1.5, a=2.0),
+]
+
+
+def _draws(raising=False):
+    """200 default-region draws as rows, with the raising rows spread among
+    them when ``raising``."""
+    from convecon.statics import _draw_columns, default_region
+
+    columns = _draw_columns(20261019, 200, default_region())
+    rows = [{name: column[k].item() for name, column in columns.items()} for k in range(200)]
+    if raising:
+        for position, row in zip(range(7, 200, 40), _RAISING):
+            rows.insert(position, row)
+    return rows
+
+
+def _as_columns(rows):
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+def _lone_params(row):
+    return params_from_mapping({name: row[name] for name in PARAM_FIELDS})
+
+
+def _outcome(result):
+    """A formula's output or error, by bits."""
+    if isinstance(result, EconError):
+        return type(result).__name__, str(result), result.__traceback__ is None
+    if isinstance(result, ClampedValue):
+        return result.value.hex(), result.raw.hex(), result.corner
+    return result.hex()
+
+
+@pytest.mark.parametrize("name", list(_FORMULAS))
+def test_column_formulas_match_lone_calls_bit_for_bit(name):
+    formula = getattr(closed_form, name)
+    given = _FORMULAS[name]
+    for raising in (False, True):
+        rows = _draws(raising)
+        columns = _as_columns(rows)
+        args = (() if given is None else (columns[given],)) + _param_columns(columns)
+        lone = []
+        for row in rows:
+            try:
+                result = formula(*(() if given is None else (row[given],)), *_lone_params(row))
+            except EconError as exc:
+                result = exc.with_traceback(None)
+            lone.append(_outcome(result))
+        # Instance by instance on plain floats: each lone value or error.
+        assert [_outcome(r) for r in _one_by_one(formula, len(rows), *args)] == lone
+        if not raising:
+            result = formula(*args)
+            if isinstance(result, ClampedValue):
+                assert isinstance(result.corner, np.ndarray)
+                got = [_outcome(ClampedValue(*pair)) for pair in zip(result.value.tolist(), result.raw.tolist())]
+            else:
+                got = [_outcome(value) for value in result.tolist()]
+            assert got == lone
+        else:
+            # Some lone call raises, so the call over the columns raises.
+            assert any(isinstance(outcome, tuple) and isinstance(outcome[2], bool) and outcome[1] for outcome in lone)
+            with pytest.raises(EconError):
+                formula(*args)
+
+
+def _solution_bits(solution):
+    strategy = solution.strategy
+    assert type(solution.corner) is bool and type(solution.iterations) is int
+    return (
+        strategy.model, solution.source, strategy.q.hex(), strategy.f.hex(), strategy.a.hex(),
+        solution.iterations, solution.corner, solution.raw_f, solution.raw_a,
+    )
+
+
+def _assert_batch_matches_lone_solves(model, rows, g):
+    """The batched coupled solve over ``rows`` gives each row's lone solve,
+    bit for bit, or its error; returns the kinds of outcome seen."""
+    lone_solve = {ModelKind.FEEDBACK_FIRST: model1_solve, ModelKind.FEEDBACK_AFTER: model2_solve_coupled}[model]
+    batch = _solve_coupled(model, *_param_columns(_as_columns(rows)), g)
+    assert len(batch) == len(rows)
+    seen = set()
+    for row, result in zip(rows, batch):
+        try:
+            expected = lone_solve(*_lone_params(row), g)
+        except EconError as exc:
+            assert type(result) is type(exc)
+            assert str(result) == str(exc)
+            assert result.__traceback__ is None
+            seen.add((type(exc).__name__, str(exc).split(" (")[0].split(" at ")[0]))
+        else:
+            assert _solution_bits(result) == _solution_bits(expected)
+            seen.add("solution")
+    return seen
+
+
+@pytest.mark.parametrize("g", [100.0, 1e308])
+@pytest.mark.parametrize("model", [ModelKind.FEEDBACK_FIRST, ModelKind.FEEDBACK_AFTER], ids=["m1", "m2"])
+def test_batched_coupled_solve_matches_lone_solves_bit_for_bit(model, g):
+    seen = _assert_batch_matches_lone_solves(model, _draws(raising=True), g)
+    kinds = {kind if kind == "solution" else kind[0] for kind in seen}
+    if g == 100.0:
+        assert "solution" in kinds and "NoInteriorOptimum" in kinds
+        if model is ModelKind.FEEDBACK_FIRST:
+            assert "Diverged" in kinds
+    else:
+        # The query count overflows a float: recover_q rejects it.
+        assert ("NoInteriorOptimum", "no finite query count reaches gain 1e+308") in seen
+
+
+def test_batched_coupled_solve_hits_the_step_cap_as_lone_solves_do(monkeypatch):
+    # One instance's columns give its lone solve too.
+    assert _assert_batch_matches_lone_solves(ModelKind.FEEDBACK_FIRST, _draws()[:1], 100.0) == {"solution"}
+    # A batch whose every instance fails.
+    seen = _assert_batch_matches_lone_solves(ModelKind.FEEDBACK_AFTER, _RAISING[:3], 100.0)
+    assert "solution" not in seen
+    monkeypatch.setattr(closed_form, "_STEP_LIMIT", 40)
+    for model in (ModelKind.FEEDBACK_FIRST, ModelKind.FEEDBACK_AFTER):
+        seen = _assert_batch_matches_lone_solves(model, _draws(raising=True), 100.0)
+        assert {"solution", ("Diverged", "fixed point not reached after 40 iterations")} <= seen
+
+
+def test_batched_coupled_solve_of_no_instances_takes_one_step(monkeypatch):
+    steps = []
+    step = closed_form._step
+    monkeypatch.setattr(closed_form, "_step", lambda *args: steps.append(args) or step(*args))
+    empty = {name: np.zeros(0) for name in PARAM_FIELDS}
+    assert _solve_coupled(ModelKind.FEEDBACK_AFTER, *_param_columns(empty), 100.0) == []
+    assert len(steps) == 1
+
+
+def test_clamp_floor_works_elementwise_with_max_operand_order():
+    raw = np.array([-1.0, -0.0, 0.0, 2.5, np.nan])
+    clamped = _clamp_floor(raw)
+    lone = [_clamp_floor(value) for value in raw.tolist()]
+    assert [value.hex() for value in clamped.value.tolist()] == [c.value.hex() for c in lone]
+    assert clamped.corner.tolist() == [c.corner for c in lone]

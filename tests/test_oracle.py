@@ -41,12 +41,28 @@ from convecon import (
 from convecon.core import cost_value, gain_value, recover_q_value
 from convecon.errors import EconError, NoInteriorOptimum
 from convecon import oracle
-from convecon.oracle import _Incumbent, _argmin_lex, _columns, _evaluate, _gradients, _log_axes, _minimize_batch
+from convecon.oracle import (
+    _Incumbent, _argmin_lex, _block, _columns, _evaluate, _gradients, _log_axes, _minimize_batch,
+)
 from convecon.statics import audit_claims
 
 M0 = ModelKind.BASELINE
 M1 = ModelKind.FEEDBACK_FIRST
 M2 = ModelKind.FEEDBACK_AFTER
+
+
+def _batch(model, instances, g, grid=None, pin=None):
+    """``_minimize_batch`` over ``(efficiency, costs, value)`` triples, passed
+    as parameter columns and pinned values."""
+    efficiencies, costs, values = zip(*instances)
+    return _minimize_batch(
+        model, _columns(efficiencies), _columns(costs), g, grid, pin=pin, values=values if pin else None,
+    )
+
+
+def _lattice_columns(params):
+    """Parameter bundles as the (K, 1, 1) columns a block's lattices read."""
+    return _block(_columns(params), list(range(len(params))))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +311,7 @@ class TestMinimizeCost:
 
 def _own_call(model, efficiency, costs, g, grid=None, pin=None, value=None):
     """One instance's incumbent, or its error, from a batch of one."""
-    return _minimize_batch(model, [(efficiency, costs, value)], g, grid, pin=pin)[0]
+    return _minimize_batch(model, efficiency, costs, g, grid, pin=pin, values=value)[0]
 
 
 class TestPinnedAxes:
@@ -708,7 +724,7 @@ def test_only_minimize_cost_builds_grid_meta(std_efficiency, std_costs, monkeypa
     instances = [_sample_instance(rng)[:2] + (float(rng.uniform(0.5, 30.0)),) for _ in range(40)]
     grid = GridSpec(points=64, refinements=2)
     for model, pin in ((M2, None), (M1, None), (M0, None), (M2, "f"), (M1, "a"), (M0, "a")):
-        batch = _minimize_batch(model, instances, 100.0, grid, pin=pin)
+        batch = _batch(model, instances, 100.0, grid, pin=pin)
         assert sum(isinstance(result, _Incumbent) for result in batch) > 20
     assert built == []
     sol = minimize_cost(M2, std_efficiency, std_costs, 100.0, grid)
@@ -738,7 +754,7 @@ def test_batch_matches_single_calls_bit_for_bit(model, pin, grid, monkeypatch):
     seen = set()
     for g in (100.0, 3.2e10):
         searches.clear()
-        batch = _minimize_batch(model, instances, g, grid, pin=pin)
+        batch = _batch(model, instances, g, grid, pin=pin)
         assert len(batch) == len(instances)
         # One block: the round exponents do not part an instance from it.
         assert len(searches) <= 1
@@ -767,8 +783,8 @@ def test_scalar_recover_q_matches_lattice_bit_for_bit(model):
     windows = [tuple(sorted(np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 2)))) for _ in range(2 * len(pairs))]
     f_axis = _log_axes(_exponents(windows[:len(pairs)]), 16) if model.uses_feedback else np.zeros((len(pairs), 1))
     a_axis = _log_axes(_exponents(windows[len(pairs):]), 16)
-    efficiencies = _columns([pair[0] for pair in pairs])
-    costs = _columns([pair[1] for pair in pairs])
+    efficiencies = _lattice_columns([pair[0] for pair in pairs])
+    costs = _lattice_columns([pair[1] for pair in pairs])
     for g in (100.0, 3.2e10, 1e-300):
         block_q = _evaluate(model, efficiencies, costs, g, f_axis, a_axis)[0].copy()
         for k, (efficiency, instance_costs) in enumerate(pairs):
@@ -792,7 +808,7 @@ def test_underflowing_query_count_has_no_interior_optimum(model, light_grid):
     ]
     instances.insert(1, (EfficiencyParams(0.7, 0.3, 0.2, 0.4), costs, None))
     g = 1e-300
-    batch = _minimize_batch(model, instances, g, light_grid)
+    batch = _batch(model, instances, g, light_grid)
     assert isinstance(batch[1], NoInteriorOptimum)
     assert "underflows" in str(batch[1])
     with pytest.raises(NoInteriorOptimum, match="underflows"):
@@ -838,8 +854,8 @@ def test_evaluate_matches_operator_spelling_bit_for_bit(model, size, points):
         if size == 1:
             efficiency, block_costs = lead
         else:
-            efficiency = _columns([pair[0] for pair in pairs])
-            block_costs = _columns([pair[1] for pair in pairs])
+            efficiency = _lattice_columns([pair[0] for pair in pairs])
+            block_costs = _lattice_columns([pair[1] for pair in pairs])
         windows = [tuple(sorted(np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 2)))) for _ in range(size * 2)]
         f_axis, a_axis = _log_axes(_exponents(windows[:size]), points), _log_axes(_exponents(windows[size:]), points)
         pinned = np.exp(rng.uniform(np.log(0.5), np.log(30.0), (size, 1)))
@@ -861,7 +877,7 @@ def test_evaluate_matches_operator_spelling_bit_for_bit(model, size, points):
 def _solve_bits(jobs):
     out = []
     for model, instances, grid in jobs:
-        for result in _minimize_batch(model, instances, 100.0, grid):
+        for result in _batch(model, instances, 100.0, grid):
             out.append([getattr(result, axis).hex() for axis in "qfa"] + list(result[3:]))
     return out
 
@@ -1001,13 +1017,13 @@ def test_row_floors_keep_every_incumbent_bit_for_bit(model, grid, monkeypatch):
             jobs.append(([_wide_draw(rng, model) + (None,) for _ in range(size)], g))
     calls = _count_rows(monkeypatch)
     rounds = _count_kept(monkeypatch)
-    pruned = [_outcomes(_minimize_batch(model, instances, g, grid)) for instances, g in jobs]
+    pruned = [_outcomes(_batch(model, instances, g, grid)) for instances, g in jobs]
     # Each round evaluates one probe row per instance, then exactly its kept
     # rows: no padding rows. Many rounds leave rows out.
     assert sum(rows for rows, _ in calls) == sum(len(kept) + sum(kept) for kept in rounds)
     assert sum(sum(kept) < len(kept) * grid.points for kept in rounds) > len(rounds) // 5
     monkeypatch.setattr(oracle, "_PRUNE_NODES", math.inf)  # every row of every round
-    full = [_outcomes(_minimize_batch(model, instances, g, grid)) for instances, g in jobs]
+    full = [_outcomes(_batch(model, instances, g, grid)) for instances, g in jobs]
     assert pruned == full
     kinds = {outcome[0] if isinstance(outcome[0], str) else "incumbent" for batch in full for outcome in batch}
     assert {"incumbent", "NoInteriorOptimum"} <= kinds
@@ -1027,9 +1043,9 @@ def test_row_floors_keep_every_incumbent_bit_for_bit(model, grid, monkeypatch):
 ], ids=["exponent-two", "subnormal-q"])
 def test_row_floors_keep_bits_where_rows_must_stay(model, efficiency, costs, g, grid, monkeypatch):
     monkeypatch.setattr(oracle, "_PRUNE_NODES", 0)
-    pruned = _outcomes(_minimize_batch(model, [(efficiency, costs, None)], g, grid))
+    pruned = _outcomes(_batch(model, [(efficiency, costs, None)], g, grid))
     monkeypatch.setattr(oracle, "_row_floors", _keep_every_row)
-    assert pruned == _outcomes(_minimize_batch(model, [(efficiency, costs, None)], g, grid))
+    assert pruned == _outcomes(_batch(model, [(efficiency, costs, None)], g, grid))
 
 
 _UNIT = st.floats(1e-3, 1.0)
@@ -1116,7 +1132,7 @@ def test_large_joint_block_matches_single_calls_bit_for_bit(model, monkeypatch):
     rounds = _count_slices(monkeypatch)
     seen = set()
     for g in (100.0, 3.2e10, 1e-300):
-        batch = _minimize_batch(model, instances, g, grid)
+        batch = _batch(model, instances, g, grid)
         for (efficiency, costs, _), result in zip(instances, batch):
             expected = _own_call(model, efficiency, costs, g, grid)
             if isinstance(expected, EconError):
@@ -1150,10 +1166,10 @@ def test_joint_batches_keep_the_workspace_within_three_blocks(monkeypatch):
 
     def run():
         for model in (M1, M2):
-            _minimize_batch(model, instances, 100.0, GridSpec(points=64, refinements=2))
-            _minimize_batch(model, [instance for i, instance in enumerate(instances) if i % 25][:25], 100.0)
+            _batch(model, instances, 100.0, GridSpec(points=64, refinements=2))
+            _batch(model, [instance for i, instance in enumerate(instances) if i % 25][:25], 100.0)
         sizes.append(oracle._WORKSPACE.arena.size)
-        _minimize_batch(M2, instances[:25], 100.0)
+        _batch(M2, instances[:25], 100.0)
         sizes.append(oracle._WORKSPACE.arena.size)
 
     thread = threading.Thread(target=run)
@@ -1172,10 +1188,10 @@ def test_audit_grid_joint_block_allocates_no_lattice(model):
     rng = np.random.default_rng(20261024)
     instances = [_sample_instance(rng)[:2] + (None,) for _ in range(128)]
     grid = GridSpec(points=64, refinements=2)
-    _minimize_batch(model, instances, 100.0, grid)
+    _batch(model, instances, 100.0, grid)
     tracemalloc.start()
     try:
-        _minimize_batch(model, instances, 100.0, grid)
+        _batch(model, instances, 100.0, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

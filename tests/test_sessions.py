@@ -144,6 +144,11 @@ class TestSimulate:
         with pytest.raises(DomainError, match="n must be"):
             simulate(strategy, std_efficiency, std_costs, n=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_rejects_bad_seed(self, seed, std_efficiency, std_costs):
+        with pytest.raises(DomainError, match="seed"):
+            simulate(Strategy(M0, 1, 0, 1), std_efficiency, std_costs, seed=seed)
+
 
 # ---------------------------------------------------------------------------
 # JSONL round trip

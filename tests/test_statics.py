@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from convecon import (
     minimize_cost,
     sweep,
 )
+from convecon.core import _param_columns
 from convecon.statics import (
-    AXIS_ORDER, DEFAULT_AUDIT_GRID, FORMULA_H, ORACLE_H, _draw_point, _outcomes, _perturbed, _steps,
+    AXIS_ORDER, DEFAULT_AUDIT_GRID, FORMULA_H, ORACLE_H, _differences, _draw_columns, _step_columns,
 )
 
 
@@ -152,12 +154,22 @@ class TestSamplePoint:
 # Finite differences
 
 
+def _one_sample(point):
+    """A sample point as the audit's columns: one (1,) array per axis."""
+    return {name: np.array([value]) for name, value in point.to_dict().items()}
+
+
 def _sign(evaluator, parameter, point):
-    """The sign of one central difference, through the audit's route helper,
-    on a route that evaluates ``evaluator`` unclamped at every point."""
-    steps = _steps([point], parameter, FORMULA_H)
-    [outcome] = _outcomes(lambda points: [(evaluator(p), False) for p in points], steps, FORMULA_H)
-    return outcome[0]
+    """The sign of one central difference, through the audit's step and
+    difference helpers, on a route that evaluates ``evaluator`` unclamped at
+    every moved point (given the moved points' parameter columns)."""
+    columns = _one_sample(point)
+    valid, moved = _step_columns(columns, parameter, FORMULA_H)
+    efficiency, costs = _param_columns(moved)
+    value = np.broadcast_to(evaluator(SimpleNamespace(efficiency=efficiency, costs=costs)), (2,))
+    scored, sign = _differences((value, np.zeros(2, bool), np.ones(2, bool)), columns[parameter][valid], FORMULA_H)
+    assert scored.tolist() == [True]
+    return {1: "+", -1: "-", 0: "0"}[int(sign[0])]
 
 
 class TestFiniteDiffSign:
@@ -181,17 +193,182 @@ class TestFiniteDiffSign:
         assert _sign(lambda p: (p.costs.c_query - 5000.0) ** 2, "c_query", big) == "-"
 
     def test_zero_valued_parameter_is_domain_error(self, point):
-        # A relative step around 0 is no step at all; the audit skips it.
-        at_zero = point.with_param("gamma1", 0.0)
-        with pytest.raises(DomainError, match="gamma1"):
-            _perturbed(at_zero, "gamma1", FORMULA_H)
-        steps = _steps([at_zero], "gamma1", FORMULA_H)
-        assert steps == [None]
-        assert _outcomes(lambda points: [(1.0, False)] * len(points), steps, FORMULA_H) == [None]
+        # A relative step around 0 is no step at all: like a step out of the
+        # domain, the sample has no valid step and the audit skips it.
+        valid, moved = _step_columns(_one_sample(point.with_param("gamma1", 0.0)), "gamma1", FORMULA_H)
+        assert valid.tolist() == [False]
+        assert all(len(column) == 0 for column in moved.values())
+
+    def test_step_out_of_domain_is_not_valid(self, point):
+        # alpha 0.98 moved up 5% leaves (0, 1]; moved 0.01% it does not.
+        columns = _one_sample(point.with_param("alpha", 0.98))
+        assert _step_columns(columns, "alpha", ORACLE_H)[0].tolist() == [False]
+        valid, moved = _step_columns(columns, "alpha", FORMULA_H)
+        assert valid.tolist() == [True]
+        assert moved["alpha"].tolist() == [0.98 * (1.0 + FORMULA_H), 0.98 * (1.0 - FORMULA_H)]
+        assert moved["beta"].tolist() == [point.efficiency.beta] * 2
+
+
+# ---------------------------------------------------------------------------
+# Sample columns against lone points
+
+
+_WIDE = {"alpha": [0.3, 1.0], "beta": [0.05, 1.0], "gamma2": [0.1, 1.0], "gamma1": [1e-6, 5.0]}
+
+
+def _regions():
+    return [default_region(), ParameterRegion.from_mapping({**default_region().to_dict(), **_WIDE})]
+
+
+def _points(columns):
+    """The samples of the columns as lone points (validated parameters)."""
+    rows = [{name: column[k].item() for name, column in columns.items()} for k in range(len(columns["f"]))]
+    return [
+        SamplePoint(*statics.params_from_mapping({name: row[name] for name in statics.PARAM_FIELDS}), row["f"], row["a"])
+        for row in rows
+    ]
+
+
+def test_draws_match_scalar_draws_bit_for_bit():
+    # One uniform draw and one exp per sample over all nine axes give the
+    # bits of nine scalar draws, each through math-free numpy scalars.
+    for region in _regions():
+        columns = _draw_columns(11, 50, region)
+        assert list(columns) == list(AXIS_ORDER)
+        for k, stream in enumerate(np.random.SeedSequence(11).spawn(50)):
+            rng = np.random.default_rng(stream)
+            scalar = [float(np.exp(rng.uniform(np.log(lo), np.log(hi)))).hex() for _, lo, hi in region.bounds]
+            assert [columns[name][k].item().hex() for name in AXIS_ORDER] == scalar
+
+
+def test_step_columns_match_lone_steps_bit_for_bit():
+    # Each moved value is the float product a lone step makes, and a step
+    # is valid exactly where the lone point takes both moved values.
+    for region in _regions():
+        columns = _draw_columns(12, 60, region)
+        columns["gamma1"][::7] = 0.0  # a zero base has no relative step
+        points = _points(columns)
+        for parameter in AXIS_ORDER:
+            for h in (FORMULA_H, ORACLE_H):
+                valid, moved = _step_columns(columns, parameter, h)
+                expected_valid, expected_up, expected_down = [], [], []
+                for point in points:
+                    base = point.value_of(parameter)
+                    try:
+                        if base == 0.0:
+                            raise DomainError("zero base")
+                        up = point.with_param(parameter, base * (1.0 + h)).value_of(parameter)
+                        down = point.with_param(parameter, base * (1.0 - h)).value_of(parameter)
+                    except DomainError:
+                        expected_valid.append(False)
+                        continue
+                    expected_valid.append(True)
+                    expected_up.append(up.hex())
+                    expected_down.append(down.hex())
+                assert valid.tolist() == expected_valid
+                m = len(expected_up)
+                assert [v.hex() for v in moved[parameter][:m].tolist()] == expected_up
+                assert [v.hex() for v in moved[parameter][m:].tolist()] == expected_down
+        assert region == default_region() or not _step_columns(columns, "alpha", ORACLE_H)[0].all()
+
+
+def test_drawn_parameter_outside_its_domain_raises_its_error(monkeypatch):
+    # Region bounds keep real draws inside the domains; a generator whose
+    # doubles run past 1 moves alpha past its cap of 1.
+    class Past:
+        def random(self, size):
+            return np.full(size, 2.0)
+
+    monkeypatch.setattr(statics.np.random, "default_rng", lambda stream: Past())
+    with pytest.raises(DomainError, match="^region sample: alpha must be <= 1$"):
+        _draw_columns(0, 3, default_region())
+
+
+def test_overflowing_step_is_not_valid():
+    # A moved value that overflows a float is no valid step, as a lone
+    # point rejects a parameter that is not finite.
+    region = ParameterRegion.from_mapping({**default_region().to_dict(), "c_query": [1.75e308, 1.79e308]})
+    columns = _draw_columns(4, 20, region)
+    with np.errstate(over="raise"):
+        valid, moved = _step_columns(columns, "c_query", ORACLE_H)
+    assert not valid.any()
+    report = audit_claims(region=region, samples=4, seed=4)
+    assert report.claim("M0-1").skipped_oracle == 4
+
+
+@pytest.mark.parametrize("variant", list(FormulaVariant), ids=lambda variant: variant.value)
+def test_formula_route_matches_lone_formulas_bit_for_bit(variant):
+    # The route's one call over the columns, or where it raises its calls
+    # point by point, give each point its lone value and clamp or its skip.
+    from convecon import closed_form
+
+    given = statics._VARIANTS[variant].given
+    fallbacks = 0
+    for region in _regions():
+        columns = _draw_columns(13, 60, region)
+        columns["gamma2"][5] = columns["alpha"][5]  # the m2 full-depth and feedback formulas refuse
+        expected = []
+        for point in _points(columns):
+            try:
+                result = getattr(closed_form, variant.value)(
+                    *(() if given is None else (getattr(point, given),)), point.efficiency, point.costs,
+                )
+            except statics.EconError:
+                expected.append(None)
+                continue
+            value, clamped = (result.value, result.corner) if isinstance(result, closed_form.ClampedValue) else (result, False)
+            expected.append((value.hex(), clamped))
+        value, clamped, evaluated = statics._formula_values(variant, columns)
+        got = [
+            (v.hex(), c) if ok else None
+            for v, c, ok in zip(value.tolist(), clamped.tolist(), evaluated.tolist())
+        ]
+        assert got == expected
+        fallbacks += None in expected
+    assert fallbacks or variant in (FormulaVariant.F1,)
 
 
 # ---------------------------------------------------------------------------
 # Claim audit
+
+
+# Per claim: (n, holds, flat, skipped) on the formula route, then on the
+# oracle route, for 30 samples of the wide region at seed 3.
+_WIDE_REGION_COUNTS = {
+    "M0-1": (23, 23, 0, 7, 23, 23, 0, 7),
+    "M0-2": (23, 23, 0, 7, 23, 23, 0, 7),
+    "M0-3": (23, 23, 0, 7, 21, 21, 0, 9),
+    "M0-4": (23, 23, 0, 7, 22, 22, 0, 8),
+    "M1-1": (27, 27, 0, 3, 27, 27, 0, 3),
+    "M1-2": (27, 27, 0, 3, 27, 27, 0, 3),
+    "M1-3": (27, 27, 0, 3, 27, 27, 0, 3),
+    "M1-4": (27, 8, 0, 3, 26, 17, 1, 3),
+    "M1-5": (28, 28, 2, 0, 25, 25, 5, 0),
+    "M1-6": (28, 9, 2, 0, 24, 24, 6, 0),
+    "M1-7": (28, 28, 2, 0, 29, 29, 1, 0),
+    "M1-8": (28, 28, 2, 0, 30, 30, 0, 0),
+    "M1-9": (28, 10, 2, 0, 26, 0, 4, 0),
+    "M2-1": (23, 23, 0, 7, 23, 23, 0, 7),
+    "M2-2": (23, 23, 0, 7, 23, 23, 0, 7),
+    "M2-3": (23, 23, 0, 7, 22, 22, 0, 8),
+    "M2-4": (11, 8, 19, 0, 8, 8, 9, 13),
+    "M2-5": (11, 8, 19, 0, 8, 8, 9, 13),
+    "M2-6": (11, 10, 19, 0, 8, 8, 9, 13),
+    "M2-7": (11, 10, 19, 0, 8, 8, 8, 14),
+    "M2-8": (13, 2, 17, 0, 0, 0, 23, 7),
+    "M2-9": (26, 6, 0, 4, 0, 0, 22, 8),
+}
+# Per agreement row: (n, skipped), same samples.
+_WIDE_REGION_AGREEMENT = {
+    "a1_star_at_oracle_f": (25, 5),
+    "f1_star_at_oracle_a": (23, 7),
+    "model1_coupled_pair": (22, 8),
+    "a2_star_partial_at_oracle_f": (8, 22),
+    "a2_star_full_at_oracle_f": (2, 28),
+    "f2_star": (8, 22),
+    "f2_star_coupled_at_oracle_a": (8, 22),
+    "model2_coupled_pair": (8, 22),
+}
 
 
 @pytest.fixture(scope="module")
@@ -237,20 +414,21 @@ class TestAuditClaims:
         assert row.claim.informational
 
     def test_perturbs_each_parameter_and_step_once(self, monkeypatch):
-        # Claims on one parameter share its perturbed samples: 16 (parameter,
-        # step) pairs, not one per claim and route.
+        # Claims on one parameter share its moved samples: 16 (parameter,
+        # step) pairs, each moved once for every sample at a time, not once
+        # per claim and route.
         calls = []
-        perturbed = statics._perturbed
+        step_columns = statics._step_columns
 
-        def counting(point, parameter, h):
+        def counting(columns, parameter, h):
             calls.append((parameter, h))
-            return perturbed(point, parameter, h)
+            return step_columns(columns, parameter, h)
 
-        monkeypatch.setattr(statics, "_perturbed", counting)
+        monkeypatch.setattr(statics, "_step_columns", counting)
         audit_claims(samples=10, seed=3)
         pairs = {(claim.parameter, h) for claim in claim_registry() for h in (FORMULA_H, ORACLE_H)}
         assert len(pairs) == 16
-        assert Counter(calls) == dict.fromkeys(pairs, 10)
+        assert Counter(calls) == dict.fromkeys(pairs, 1)
 
     def test_counterexamples_record_signs_and_point(self, small_audit):
         example = small_audit.claim("M1-4").counterexamples[0]
@@ -299,17 +477,26 @@ class TestAuditClaims:
     def test_wide_region_counts_invalid_steps_as_skipped(self):
         # Exponents up to their cap of 1: a +5% oracle step can leave the
         # valid domain, and such a sample must still be counted, as skipped.
+        # Formulas refuse samples with alpha <= beta, so each claim's call
+        # over the columns raises and is repeated sample by sample; the
+        # counts are the ones the audit gave when it evaluated every sample
+        # on its own.
         region = ParameterRegion.from_mapping({
             **default_region().to_dict(),
             "alpha": [0.3, 1.0], "beta": [0.05, 1.0], "gamma2": [0.1, 1.0],
         })
         report = audit_claims(region=region, samples=30, seed=3)
-        for row in report.claims:
-            assert row.n_formula + row.flat_formula + row.skipped_formula == 30
-            assert row.n_oracle + row.flat_oracle + row.skipped_oracle == 30
-        streams = np.random.SeedSequence(3).spawn(30)
-        alphas = [_draw_point(np.random.default_rng(s), region).efficiency.alpha for s in streams]
-        over_cap = sum(alpha * 1.05 > 1.0 for alpha in alphas)
+        counts = {
+            row.claim.id: (
+                row.n_formula, row.holds_formula, row.flat_formula, row.skipped_formula,
+                row.n_oracle, row.holds_oracle, row.flat_oracle, row.skipped_oracle,
+            )
+            for row in report.claims
+        }
+        assert counts == _WIDE_REGION_COUNTS
+        assert {row.name: (row.n, row.skipped) for row in report.agreement} == _WIDE_REGION_AGREEMENT
+        alphas = _draw_columns(3, 30, region)["alpha"]
+        over_cap = int(np.count_nonzero(alphas * 1.05 > 1.0))
         assert over_cap > 0
         assert report.claim("M0-3").skipped_oracle >= over_cap > 0
 
@@ -354,6 +541,11 @@ class TestAuditClaims:
             audit_claims(samples=0)
         with pytest.raises(DomainError, match="samples"):
             audit_claims(samples=2.5)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, float("nan")])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            audit_claims(samples=2, seed=seed)
 
 
 # ---------------------------------------------------------------------------
