@@ -340,7 +340,7 @@ def _one_by_one(call, size: int, *columns) -> list:
     the :class:`EconError` it raises, without a traceback."""
     results = []
     for k in range(size):
-        args = [column[k].item() if isinstance(column, np.ndarray) else _instance(column, k) for column in columns]
+        args = [_instance(column, k) for column in columns]
         try:
             results.append(call(*args))
         except EconError as exc:
@@ -513,8 +513,8 @@ def solve_model2_full(
     depth = a2_star_full(fb.value, efficiency, costs)
     if depth.value <= 0.0:
         raise NoInteriorOptimum(
-                "m2 full-depth formula clamped to zero assessments "
-                f"(raw value {depth.raw}); no finite strategy reaches the gain floor"
+            "m2 full-depth formula clamped to zero assessments "
+            f"(raw value {depth.raw}); no finite strategy reaches the gain floor"
         )
     q = recover_q(g, fb.value, depth.value, ModelKind.FEEDBACK_AFTER, efficiency)
     return ClosedFormSolution(

@@ -183,16 +183,6 @@ _DOMAINS = {
 }
 
 
-def _check_domain(name: str, value: float) -> None:
-    """Raise the parameter's :class:`DomainError` where the finite float
-    ``value`` lies outside its domain."""
-    low, closed, high, below, above = _DOMAINS[name]
-    if not (value >= low if closed else value > low):
-        raise DomainError(below)
-    if value > high:
-        raise DomainError(above)
-
-
 def _in_domain(name: str, values: np.ndarray) -> np.ndarray:
     """Elementwise: which of ``values`` the parameter's constructor accepts
     (finite and inside its domain)."""
@@ -223,8 +213,12 @@ class EfficiencyParams:
             value = _require_finite(name, given)
             if value is not given:
                 object.__setattr__(self, name, value)
-        for name in _EFFICIENCY_FIELDS:
-            _check_domain(name, getattr(self, name))
+        for name, low, closed, high, below, above in _EFFICIENCY_DOMAINS:
+            value = getattr(self, name)
+            if not (value >= low if closed else value > low):
+                raise DomainError(below)
+            if value > high:
+                raise DomainError(above)
 
 
 @dataclass(frozen=True)
@@ -236,12 +230,15 @@ class CostParams:
     c_assess: float
 
     def __post_init__(self) -> None:
-        for name in _COST_FIELDS:
+        for name, low, closed, high, below, above in _COST_DOMAINS:
             given = getattr(self, name)
             value = _require_finite(name, given)
             if value is not given:
                 object.__setattr__(self, name, value)
-            _check_domain(name, value)
+            if not (value >= low if closed else value > low):
+                raise DomainError(below)
+            if value > high:
+                raise DomainError(above)
 
 
 class ValidatedParams(NamedTuple):
@@ -354,6 +351,10 @@ def check_gain(g: float) -> float:
 
 _EFFICIENCY_FIELDS = tuple(field.name for field in fields(EfficiencyParams))
 _COST_FIELDS = tuple(field.name for field in fields(CostParams))
+# Each class's rows of ``_DOMAINS`` as ``(name, *domain)``, read once for
+# its constructor.
+_EFFICIENCY_DOMAINS = tuple((name, *_DOMAINS[name]) for name in _EFFICIENCY_FIELDS)
+_COST_DOMAINS = tuple((name, *_DOMAINS[name]) for name in _COST_FIELDS)
 
 PARAM_FIELDS = _EFFICIENCY_FIELDS + _COST_FIELDS
 
@@ -380,8 +381,10 @@ def _param_columns(columns: Mapping[str, object]) -> tuple[SimpleNamespace, Simp
     )
 
 
-def _instance(params: SimpleNamespace, k: int) -> SimpleNamespace:
-    """Instance ``k`` of a bundle of parameter columns, as plain floats."""
+def _instance(params: Union[np.ndarray, SimpleNamespace], k: int):
+    """Instance ``k`` of a column, or of a bundle of columns, as plain floats."""
+    if isinstance(params, np.ndarray):
+        return params[k].item()
     return SimpleNamespace(**{name: column[k].item() for name, column in vars(params).items()})
 
 

@@ -41,6 +41,7 @@ import statistics
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
+from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -55,6 +56,7 @@ from .core import (
     Strategy,
     _DOMAINS,
     _in_domain,
+    _instance,
     _param_columns,
     _require_count,
     _require_finite,
@@ -626,14 +628,9 @@ def _draw_columns(seed: int, samples: int, region: ParameterRegion) -> dict[str,
         outside = np.flatnonzero(~_in_domain(name, columns[name]))
         if len(outside):
             # The first offending sample raises its constructor's error.
-            row = _row(columns, outside[0])
+            row = vars(_instance(SimpleNamespace(**columns), outside[0]))
             params_from_mapping({name: row[name] for name in PARAM_FIELDS}, source="region sample")
     return columns
-
-
-def _row(columns: Mapping[str, np.ndarray], index: int) -> dict[str, float]:
-    """One sample of the columns, every axis as a plain float, in their order."""
-    return {name: column[index].item() for name, column in columns.items()}
 
 
 def _deviations(formula_values: np.ndarray, oracle_values: np.ndarray) -> np.ndarray:
@@ -795,7 +792,7 @@ def audit_claims(
             against = (formula_signs != 0) & (formula_signs != _SIGN_CODES[claim.expected_sign])
             for i in np.flatnonzero(against)[:5].tolist():
                 counterexamples[claim.id].append({
-                    "point": _row(columns, i),
+                    "point": vars(_instance(SimpleNamespace(**columns), i)),
                     "expected": claim.expected_sign,
                     "formula_sign": _SIGNS[formula_signs[i]],
                     "oracle_sign": _SIGNS[oracle_signs[i]],
@@ -930,6 +927,8 @@ def sweep(
             # steps before it, as it would step by step.
             failed.append(exc.with_traceback(None))
             break
+    if not steps_at:
+        raise failed.pop()
     points = [point for _, point in steps_at]
     results = _minimize_batch(
         model, _columns([p.efficiency for p in points]), _columns([p.costs for p in points]), g, grid,

@@ -381,6 +381,15 @@ class TestSweep:
         assert result.exit_code == 3
         assert "baseline depth requires alpha > beta" in result.stderr
 
+    def test_first_step_out_of_domain_is_invalid_input(self, runner, params_file):
+        result = _run(runner, [
+            "sweep", "--model", "m0", "--params", params_file(), "--vary", "alpha",
+            "--lo", "0", "--hi", "0.5", "--steps", "3", "--gain", "100",
+        ])
+        assert result.exit_code == 2
+        assert "alpha must be > 0" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
 
 # ---------------------------------------------------------------------------
 # simulate and fit

@@ -616,6 +616,11 @@ class TestSweep:
         with pytest.raises(DomainError, match="steps"):
             sweep(ModelKind.BASELINE, std_efficiency, std_costs, "c_query", 1.0, 2.0, 1, 100.0)
 
+    def test_first_step_out_of_domain_raises_its_error(self, std_efficiency, std_costs):
+        # alpha = 0 is the first step, so no step is solved.
+        with pytest.raises(DomainError, match="alpha must be > 0"):
+            sweep(ModelKind.BASELINE, std_efficiency, std_costs, "alpha", 0.0, 0.5, 3, 100.0)
+
     def test_rejects_unknown_target(self, std_efficiency, std_costs):
         with pytest.raises(DomainError, match="unknown sweep target"):
             sweep(
