@@ -78,7 +78,6 @@ from .statics import (
     FormulaVariant,
     ParameterRegion,
     Quantity,
-    SamplePoint,
     SweepTable,
     audit_claims,
     claim_registry,
@@ -108,7 +107,7 @@ __all__ = [
     "minimize_cost", "integer_refine", "kkt_residual",
     # statics
     "Quantity", "FormulaVariant", "Claim", "claim_registry",
-    "ParameterRegion", "default_region", "SamplePoint",
+    "ParameterRegion", "default_region",
     "SweepTable", "sweep", "ClaimAuditReport", "audit_claims",
     # sessions
     "ActionKind", "SessionAction", "SessionLog", "simulate",

@@ -50,16 +50,19 @@ class _Failure(click.ClickException):
         self.exit_code = code
 
 
-def _fail_on_econ_errors(body):
-    """Run ``body``, translating domain failures to the exit-code scheme."""
-    try:
-        return body()
-    except InsufficientDesign as exc:
-        raise _Failure(str(exc), EXIT_INSUFFICIENT_DESIGN) from None
-    except (NoInteriorOptimum, Unbounded, Infeasible, Diverged) as exc:
-        raise _Failure(str(exc), EXIT_NO_OPTIMUM) from None
-    except DomainError as exc:
-        raise _Failure(str(exc), EXIT_INVALID_INPUT) from None
+class _ExitCodes(click.Group):
+    """The command group, translating domain failures of every subcommand
+    to the exit-code scheme."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except InsufficientDesign as exc:
+            raise _Failure(str(exc), EXIT_INSUFFICIENT_DESIGN) from None
+        except (NoInteriorOptimum, Unbounded, Infeasible, Diverged) as exc:
+            raise _Failure(str(exc), EXIT_NO_OPTIMUM) from None
+        except DomainError as exc:
+            raise _Failure(str(exc), EXIT_INVALID_INPUT) from None
 
 
 def _grid_from_option(path: Optional[str]) -> Optional[GridSpec]:
@@ -151,7 +154,7 @@ _output_option = click.option(
 )
 
 
-@click.group(epilog=_EXIT_CODE_HELP)
+@click.group(cls=_ExitCodes, epilog=_EXIT_CODE_HELP)
 @click.version_option(version=__version__)
 def main() -> None:
     """Economics of conversational search strategies.
@@ -176,25 +179,21 @@ _OPTIMIZE_KEYS = {"source": "variant", "q": "q_star", "f": "f_star", "a": "a_sta
 @_output_option
 def optimize(model_code, params_path, gain_target, want_integer, fmt, output):
     """Closed-form optimal strategies for one model."""
-
-    def body():
-        efficiency, costs = load_params(params_path)
-        model = ModelKind.from_code(model_code)
-        solutions = closed_form.solutions_for(model, efficiency, costs, gain_target)
-        entries = []
-        for solution in solutions:
-            entry = {
-                _OPTIMIZE_KEYS.get(key, key): value
-                for key, value in solution.to_dict().items()
-                if key != "model"
-            }
-            if want_integer:
-                entry["integer"] = integer_refine(solution, efficiency, costs, gain_target).to_dict()
-            entries.append(entry)
-        doc = {"model": model.code, "gain_target": gain_target, "solutions": entries}
-        _emit(doc, fmt, output)
-
-    _fail_on_econ_errors(body)
+    efficiency, costs = load_params(params_path)
+    model = ModelKind.from_code(model_code)
+    solutions = closed_form.solutions_for(model, efficiency, costs, gain_target)
+    entries = []
+    for solution in solutions:
+        entry = {
+            _OPTIMIZE_KEYS.get(key, key): value
+            for key, value in solution.to_dict().items()
+            if key != "model"
+        }
+        if want_integer:
+            entry["integer"] = integer_refine(solution, efficiency, costs, gain_target).to_dict()
+        entries.append(entry)
+    doc = {"model": model.code, "gain_target": gain_target, "solutions": entries}
+    _emit(doc, fmt, output)
 
 
 @main.command()
@@ -207,18 +206,14 @@ def optimize(model_code, params_path, gain_target, want_integer, fmt, output):
 @_output_option
 def oracle(model_code, params_path, gain_target, grid_path, want_integer, fmt, output):
     """Brute-force grid oracle for one model (with KKT diagnostics)."""
-
-    def body():
-        efficiency, costs = load_params(params_path)
-        model = ModelKind.from_code(model_code)
-        grid = _grid_from_option(grid_path)
-        solution = minimize_cost(model, efficiency, costs, gain_target, grid)
-        doc = solution.to_dict()
-        if want_integer:
-            doc["integer"] = integer_refine(solution, efficiency, costs, gain_target).to_dict()
-        _emit(doc, fmt, output)
-
-    _fail_on_econ_errors(body)
+    efficiency, costs = load_params(params_path)
+    model = ModelKind.from_code(model_code)
+    grid = _grid_from_option(grid_path)
+    solution = minimize_cost(model, efficiency, costs, gain_target, grid)
+    doc = solution.to_dict()
+    if want_integer:
+        doc["integer"] = integer_refine(solution, efficiency, costs, gain_target).to_dict()
+    _emit(doc, fmt, output)
 
 
 @main.command()
@@ -237,20 +232,16 @@ def audit(region_path, samples, seed, gain_target, grid_path, output):
     The JSON report goes to --output and an aligned text summary to standard
     output. Failing claims are findings recorded in the report, not errors.
     """
-
-    def body():
-        region = None
-        if region_path is not None:
-            region = ParameterRegion.from_mapping(
-                load_json_file(region_path, "region"), source=region_path
-            )
-        report = audit_claims(
-            region=region, samples=samples, seed=seed, g=gain_target, grid=_grid_from_option(grid_path),
+    region = None
+    if region_path is not None:
+        region = ParameterRegion.from_mapping(
+            load_json_file(region_path, "region"), source=region_path
         )
-        Path(output).write_text(dumps(report.to_dict(), indent=2) + "\n")
-        _write(report.to_text())
-
-    _fail_on_econ_errors(body)
+    report = audit_claims(
+        region=region, samples=samples, seed=seed, g=gain_target, grid=_grid_from_option(grid_path),
+    )
+    Path(output).write_text(dumps(report.to_dict(), indent=2) + "\n")
+    _write(report.to_text())
 
 
 @main.command("sweep")
@@ -271,28 +262,24 @@ def audit(region_path, samples, seed, gain_target, grid_path, output):
 @_output_option
 def sweep_cmd(model_code, params_path, vary, lo, hi, steps, gain_target, targets, grid_path, fmt, output):
     """Closed-form and oracle optima along one parameter axis."""
-
-    def body():
-        efficiency, costs = load_params(params_path)
-        model = ModelKind.from_code(model_code)
-        target_names = None
-        if targets is not None:
-            target_names = tuple(name.strip() for name in targets.split(",") if name.strip())
-        table = sweep(
-            model, efficiency, costs, vary, lo, hi, steps, gain_target,
-            targets=target_names, grid=_grid_from_option(grid_path),
-        )
-        if fmt == "json":
-            doc = {
-                "vary": table.vary,
-                "columns": list(table.columns),
-                "rows": [list(row) for row in table.rows],
-            }
-            _emit(doc, fmt, output)
-        else:
-            _write(table.to_csv(), output)
-
-    _fail_on_econ_errors(body)
+    efficiency, costs = load_params(params_path)
+    model = ModelKind.from_code(model_code)
+    target_names = None
+    if targets is not None:
+        target_names = tuple(name.strip() for name in targets.split(",") if name.strip())
+    table = sweep(
+        model, efficiency, costs, vary, lo, hi, steps, gain_target,
+        targets=target_names, grid=_grid_from_option(grid_path),
+    )
+    if fmt == "json":
+        doc = {
+            "vary": table.vary,
+            "columns": list(table.columns),
+            "rows": [list(row) for row in table.rows],
+        }
+        _emit(doc, fmt, output)
+    else:
+        _write(table.to_csv(), output)
 
 
 @main.command("simulate")
@@ -307,15 +294,11 @@ def sweep_cmd(model_code, params_path, vary, lo, hi, steps, gain_target, targets
 @_output_option
 def simulate_cmd(model_code, params_path, q, f, a, sigma, seed, n, output):
     """Simulate session logs for one integer strategy (JSON Lines out)."""
-
-    def body():
-        efficiency, costs = load_params(params_path)
-        strategy = Strategy(ModelKind.from_code(model_code), q, f, a)
-        logs = simulate(strategy, efficiency, costs, sigma=sigma, seed=seed, n=n)
-        # The stream as it is now, passed explicitly (see _write).
-        write_jsonl(logs, output or sys.stdout)
-
-    _fail_on_econ_errors(body)
+    efficiency, costs = load_params(params_path)
+    strategy = Strategy(ModelKind.from_code(model_code), q, f, a)
+    logs = simulate(strategy, efficiency, costs, sigma=sigma, seed=seed, n=n)
+    # The stream as it is now, passed explicitly (see _write).
+    write_jsonl(logs, output or sys.stdout)
 
 
 @main.command()
@@ -328,23 +311,19 @@ def simulate_cmd(model_code, params_path, q, f, a, sigma, seed, n, output):
 @_output_option
 def fit(logs_path, kind, model_code, fmt, output):
     """Estimate gain and/or cost parameters from session logs."""
-
-    def body():
-        logs = read_jsonl(logs_path)
-        model = None if model_code is None else ModelKind.from_code(model_code)
-        if kind == "gain":
-            doc = fit_gain_params(logs, model).to_dict()
-        elif kind == "cost":
-            if model is not None and logs and logs[0].model is not model:
-                raise DomainError(f"logs are {logs[0].model.code}, not {model.code}")
-            doc = fit_cost_params(logs).to_dict()
-        else:
-            gain_fit = fit_gain_params(logs, model)
-            cost_fit = fit_cost_params(logs)
-            doc = {"gain": gain_fit.to_dict(), "cost": cost_fit.to_dict()}
-        _emit(doc, fmt, output)
-
-    _fail_on_econ_errors(body)
+    logs = read_jsonl(logs_path)
+    model = None if model_code is None else ModelKind.from_code(model_code)
+    if kind == "gain":
+        doc = fit_gain_params(logs, model).to_dict()
+    elif kind == "cost":
+        if model is not None and logs and logs[0].model is not model:
+            raise DomainError(f"logs are {logs[0].model.code}, not {model.code}")
+        doc = fit_cost_params(logs).to_dict()
+    else:
+        gain_fit = fit_gain_params(logs, model)
+        cost_fit = fit_cost_params(logs)
+        doc = {"gain": gain_fit.to_dict(), "cost": cost_fit.to_dict()}
+    _emit(doc, fmt, output)
 
 
 @main.command("viability")
@@ -355,13 +334,9 @@ def fit(logs_path, kind, model_code, fmt, output):
 @_output_option
 def viability_cmd(params_path, gain_target, grid_path, fmt, output):
     """Compare all three models at one gain target; recommend the cheapest."""
-
-    def body():
-        efficiency, costs = load_params(params_path)
-        recommendation = viability(efficiency, costs, gain_target, _grid_from_option(grid_path))
-        _emit(recommendation.to_dict(), fmt, output)
-
-    _fail_on_econ_errors(body)
+    efficiency, costs = load_params(params_path)
+    recommendation = viability(efficiency, costs, gain_target, _grid_from_option(grid_path))
+    _emit(recommendation.to_dict(), fmt, output)
 
 
 if __name__ == "__main__":

@@ -11,13 +11,13 @@ The zoom search runs on a leading instance axis: K instances of one model
 and one pin kind are searched at once, their lattices stacked as
 (K, feedback, assessment) arrays, each instance with its own windows.
 :func:`_minimize_batch` is the one entry: it takes the instances as
-parameter columns, one (K,) array per field (:func:`_columns`), validates
-their pinned values and solves them in blocks sized by the nodes a round
-holds at once, at most ``_BLOCK_NODES`` (at least one instance per block):
-one row of nodes per one-axis search and about four per joint search. At
-the audit grid (64 points) a block holds 512 one-axis or 128 joint
-searches; at the default grid (200 points) 163 or 40, so a 25-step sweep is
-one block.
+parameter columns, one (K,) array per field
+(:func:`~convecon.core._param_columns`), validates their pinned values and
+solves them in blocks sized by the nodes a round holds at once, at most
+``_BLOCK_NODES`` (at least one instance per block): one row of nodes per
+one-axis search and about four per joint search. At the audit grid (64
+points) a block holds 512 one-axis or 128 joint searches; at the default
+grid (200 points) 163 or 40, so a 25-step sweep is one block.
 :func:`minimize_cost` is its one-instance call, and the audit passes it
 every perturbed sample of a claim at once. Every instance gets the bits its
 own K=1 call gives, by three rules:
@@ -86,8 +86,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, fields
-from operator import add, attrgetter, sub
+from dataclasses import dataclass
+from operator import add, sub
 from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -698,15 +698,6 @@ def _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, last):
     return columns + [f_falling, a_falling] if last else columns
 
 
-def _columns(params: Sequence) -> SimpleNamespace:
-    """K parameter bundles as one, each field a (K,) column: the form
-    :func:`_minimize_batch` takes K instances in."""
-    return SimpleNamespace(**{
-        field.name: np.fromiter(map(attrgetter(field.name), params), float, len(params))
-        for field in fields(params[0])
-    })
-
-
 def _block(params: SimpleNamespace, block: list[int]) -> SimpleNamespace:
     """The parameters of a block of instances (positions into the columns
     ``params``): plain floats for one instance, which give the same bits as
@@ -783,17 +774,18 @@ def _minimize_batch(
     model and pin kind.
 
     ``efficiency`` and ``costs`` hold the instances' parameters: each field
-    a (K,) column (:func:`_columns`), or a plain float for one instance, as
-    in a parameter dataclass. With ``pin`` ``"f"`` or ``"a"``, that axis is
-    held at each instance's entry of ``values`` (a (K,) column, or a float
-    for one instance) and only the other is searched, which is how the
-    claims audit asks conditional questions ("best depth at this feedback
-    level"); a pinned axis is exempt from boundary diagnostics. ``values``
-    is ignored when ``pin`` is None. Returns, in order, each instance's
-    incumbent or the :class:`EconError` its search ends in, kept without a
-    traceback; incumbents match their own K=1 calls bit for bit. Instances
-    are searched together in blocks whose rounds hold at most
-    ``_BLOCK_NODES`` nodes at once, and at least one instance.
+    a (K,) column (:func:`~convecon.core._param_columns`), or a plain float
+    for one instance, as in a parameter dataclass. With ``pin`` ``"f"`` or
+    ``"a"``, that axis is held at each instance's entry of ``values`` (a
+    (K,) column, or a float for one instance) and only the other is
+    searched, which is how the claims audit asks conditional questions
+    ("best depth at this feedback level"); a pinned axis is exempt from
+    boundary diagnostics. ``values`` is ignored when ``pin`` is None.
+    Returns, in order, each instance's incumbent or the :class:`EconError`
+    its search ends in, kept without a traceback; incumbents match their
+    own K=1 calls bit for bit. Instances are searched together in blocks
+    whose rounds hold at most ``_BLOCK_NODES`` nodes at once, and at least
+    one instance.
     """
     g = check_gain(g)
     if not isinstance(model, ModelKind):

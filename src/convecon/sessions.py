@@ -80,10 +80,9 @@ class SessionLog:
 
     ``realized_cost`` is deterministic bookkeeping (it equals the strategy's
     cost formula; the per-action unit costs sum to the same number).
-    ``realized_gain`` carries the session's single log-normal shock.
-    ``stream_id`` records which seed-derived substream produced the shock;
-    it is runtime bookkeeping and is not serialized. The action trace is
-    never stored: :attr:`actions` unrolls it from the counts and prices.
+    ``realized_gain`` carries the session's single log-normal shock. The
+    action trace is never stored: :attr:`actions` unrolls it from the counts
+    and prices.
     """
 
     session_id: int
@@ -92,7 +91,6 @@ class SessionLog:
     costs: CostParams
     realized_gain: float
     realized_cost: float
-    stream_id: Optional[int] = None
 
     @property
     def actions(self) -> tuple[SessionAction, ...]:
@@ -195,7 +193,6 @@ def simulate(
             costs=costs,
             realized_gain=base_gain * math.exp(shock),
             realized_cost=base_cost,
-            stream_id=i,
         ))
     return logs
 
@@ -245,16 +242,22 @@ def _shared_model(logs: Sequence[SessionLog]) -> ModelKind:
     return next(iter(models))
 
 
-def _design_points(logs: Sequence[SessionLog]) -> set[tuple[float, float, float]]:
-    return {(log.strategy.q, log.strategy.f, log.strategy.a) for log in logs}
-
-
 def _design_row(row: _ModelRow, first: float, feedback: float, last: float) -> list[float]:
     """One session's regressors; the feedback column only where the model has one."""
     return [first, feedback, last] if row.feedback else [first, last]
 
 
-def _lstsq(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def _lstsq(
+    logs: Sequence[SessionLog], rows: list[list[float]], target: list[float], unknowns: str,
+) -> tuple[np.ndarray, float, bool]:
+    """Least squares of ``target`` on the design ``rows`` of ``logs``; the
+    rows' coefficients are named ``unknowns`` where too few distinct design
+    points leave them unidentified."""
+    k = len(rows[0])
+    points = len({(log.strategy.q, log.strategy.f, log.strategy.a) for log in logs})
+    if points < k:
+        raise InsufficientDesign(f"{points} distinct design point(s) cannot identify {k} {unknowns}")
+    design, target = np.asarray(rows), np.asarray(target)
     # Each count is finite, but a product of counts (q*f, q*(1+f)*a) can
     # overflow, and LAPACK's SVD does not converge on an inf.
     if not (np.isfinite(design).all() and np.isfinite(target).all()):
@@ -297,14 +300,7 @@ def fit_gain_params(
         rows.append(_design_row(row, lq, feedback, la))
         target.append(math.log(log.realized_gain))
 
-    k = len(rows[0])
-    points = _design_points(logs)
-    if len(points) < k:
-        raise InsufficientDesign(
-            f"{len(points)} distinct design point(s) cannot identify {k} gain coefficients"
-        )
-
-    coef, rms, deficient = _lstsq(np.asarray(rows), np.asarray(target))
+    coef, rms, deficient = _lstsq(logs, rows, target, "gain coefficients")
     note = None
     if deficient and row.lift and len({log.strategy.f for log in logs}) == 1:
         note = "alpha and gamma1 are unidentifiable: feedback level is constant across sessions"
@@ -336,14 +332,7 @@ def fit_cost_params(logs: Sequence[SessionLog]) -> EstimationResult:
         rows.append(_design_row(row, s.q, s.q * s.f, _assessments(row, s.q, s.f, s.a)))
         target.append(log.realized_cost)
 
-    k = len(rows[0])
-    points = _design_points(logs)
-    if len(points) < k:
-        raise InsufficientDesign(
-            f"{len(points)} distinct design point(s) cannot identify {k} unit costs"
-        )
-
-    coef, rms, deficient = _lstsq(np.asarray(rows), np.asarray(target))
+    coef, rms, deficient = _lstsq(logs, rows, target, "unit costs")
     note = None
     if deficient and row.feedback:
         levels = {log.strategy.f for log in logs}

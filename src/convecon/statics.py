@@ -31,14 +31,14 @@ coupled pair and taking differences and deviations are each one array pass
 over a claim's samples, with the float arithmetic of a sample on its own,
 so every sample keeps the bits it would get alone. Where a formula refuses
 some sample, the call over the columns raises and is repeated sample by
-sample on plain floats.
+sample on plain floats. A sweep holds its steps the same way.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from types import SimpleNamespace
@@ -55,6 +55,7 @@ from .core import (
     ModelKind,
     Strategy,
     _DOMAINS,
+    _EFFICIENCY_FIELDS,
     _in_domain,
     _instance,
     _param_columns,
@@ -69,7 +70,7 @@ from .core import (
 from .errors import DomainError, EconError
 # minimize_cost is not called here; it stays a module name because the
 # benchmark's tracer rebinds ``statics.minimize_cost``.
-from .oracle import GridSpec, _columns, _minimize_batch, minimize_cost
+from .oracle import GridSpec, _minimize_batch, minimize_cost
 
 __all__ = [
     "Quantity",
@@ -78,7 +79,6 @@ __all__ = [
     "claim_registry",
     "ParameterRegion",
     "default_region",
-    "SamplePoint",
     "SweepTable",
     "sweep",
     "ClaimAudit",
@@ -287,54 +287,6 @@ def default_region() -> ParameterRegion:
         ("f", 0.5, 6.0),
         ("a", 1.0, 30.0),
     ))
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """One sampled parameter point plus the (f, a) conditioning coordinates."""
-
-    efficiency: EfficiencyParams
-    costs: CostParams
-    f: float
-    a: float
-
-    def value_of(self, name: str) -> float:
-        if name in ("f", "a"):
-            return getattr(self, name)
-        return getattr(getattr(self, _holder_of(name)), name)
-
-    def with_param(self, name: str, value: float) -> "SamplePoint":
-        """This point with one axis moved; a parameter out of its holder's
-        domain raises the holder's :class:`DomainError`."""
-        if name == "f":
-            return SamplePoint(self.efficiency, self.costs, float(value), self.a)
-        if name == "a":
-            return SamplePoint(self.efficiency, self.costs, self.f, float(value))
-        holder = _holder_of(name)
-        params = getattr(self, holder)
-        # A frozen dataclass's vars() list its fields in order.
-        changed = type(params)(*[float(value) if field == name else given for field, given in vars(params).items()])
-        if holder == "efficiency":
-            return SamplePoint(changed, self.costs, self.f, self.a)
-        return SamplePoint(self.efficiency, changed, self.f, self.a)
-
-    def to_dict(self) -> dict:
-        """Every axis, in ``AXIS_ORDER``."""
-        return {**params_to_mapping((self.efficiency, self.costs)), "f": self.f, "a": self.a}
-
-
-# The SamplePoint field holding each model parameter.
-_HOLDER = {
-    **{field.name: "efficiency" for field in fields(EfficiencyParams)},
-    **{field.name: "costs" for field in fields(CostParams)},
-}
-
-
-def _holder_of(name: str) -> str:
-    try:
-        return _HOLDER[name]
-    except KeyError:
-        raise DomainError(f"unknown parameter {name!r}") from None
 
 
 # A route's values at a set of points, as columns over the points: (value,
@@ -638,41 +590,27 @@ def _deviations(formula_values: np.ndarray, oracle_values: np.ndarray) -> np.nda
     return np.abs(formula_values - oracle_values) / np.maximum(np.abs(oracle_values), 1e-12)
 
 
-class _AgreementTally:
-    __slots__ = ("deviations", "skipped")
-
-    def __init__(self) -> None:
-        self.deviations: list[float] = []
-        self.skipped = 0
-
-    def add(self, deviations: np.ndarray, skipped: int) -> None:
-        """Tally scored samples' deviations and the count of skipped ones."""
-        self.deviations += deviations.tolist()
-        self.skipped += skipped
-
-    def finish(self, name: str) -> FormulaAgreement:
-        n = len(self.deviations)
-        if n == 0:
-            return FormulaAgreement(name, 0, self.skipped, None, None, VERDICT_NO_DATA)
-        within = sum(1 for d in self.deviations if d <= AGREEMENT_TOLERANCE) / n
-        verdict = VERDICT_AGREES if within >= AGREEMENT_THRESHOLD else VERDICT_DISAGREES
-        return FormulaAgreement(
-            name=name,
-            n=n,
-            skipped=self.skipped,
-            median_rel_dev=float(statistics.median(self.deviations)),
-            within_tol_fraction=within,
-            verdict=verdict,
-        )
+def _agreement(name: str, deviations: np.ndarray, skipped: int) -> FormulaAgreement:
+    """An agreement row from its scored samples' deviations and the count of
+    skipped ones."""
+    values = deviations.tolist()
+    n = len(values)
+    if n == 0:
+        return FormulaAgreement(name, 0, skipped, None, None, VERDICT_NO_DATA)
+    within = sum(1 for d in values if d <= AGREEMENT_TOLERANCE) / n
+    verdict = VERDICT_AGREES if within >= AGREEMENT_THRESHOLD else VERDICT_DISAGREES
+    return FormulaAgreement(
+        name=name,
+        n=n,
+        skipped=skipped,
+        median_rel_dev=float(statistics.median(values)),
+        within_tol_fraction=within,
+        verdict=verdict,
+    )
 
 
-def _collect_agreement(
-    tallies: dict[str, _AgreementTally],
-    columns: Mapping[str, np.ndarray],
-    g: float,
-    grid: GridSpec,
-) -> None:
-    """Score every sample on every agreement row.
+def _collect_agreement(columns: Mapping[str, np.ndarray], g: float, grid: GridSpec) -> tuple[FormulaAgreement, ...]:
+    """Every agreement row, each scored on every sample.
 
     Each feedback model's joint oracle solves all samples as one batch. A
     model's rows are all skipped at a sample where its joint oracle has no
@@ -682,6 +620,7 @@ def _collect_agreement(
     coupled pair. A sample alone is skipped on a row where the formula
     raises or is clamped, or where the coupled solve fails.
     """
+    agreement = []
     for model, rows in _AGREEMENT_SECTIONS:
         joints = _minimize_batch(model, *_param_columns(columns), g, grid)
         scored = [
@@ -710,7 +649,8 @@ def _collect_agreement(
                 )
                 # The larger of the two, the first where they tie.
                 deviations = np.where(a_dev > f_dev, a_dev, f_dev)
-            tallies[name].add(deviations, unscored + int(np.count_nonzero(~kept)))
+            agreement.append(_agreement(name, deviations, unscored + int(np.count_nonzero(~kept))))
+    return tuple(agreement)
 
 
 # Each sign as the audit's columns hold it.
@@ -759,7 +699,6 @@ def audit_claims(
     registry = claim_registry()
     counts: dict[str, dict[str, int]] = {claim.id: {} for claim in registry}
     counterexamples: dict[str, list[dict]] = {claim.id: [] for claim in registry}
-    tallies = {name: _AgreementTally() for _, rows in _AGREEMENT_SECTIONS for name, _ in rows}
 
     columns = _draw_columns(seed, samples, region)
 
@@ -798,7 +737,7 @@ def audit_claims(
                     "oracle_sign": _SIGNS[oracle_signs[i]],
                 })
 
-    _collect_agreement(tallies, columns, g, grid)
+    agreement = _collect_agreement(columns, g, grid)
 
     rows = tuple(
         ClaimAudit(
@@ -822,7 +761,7 @@ def audit_claims(
     }
     return ClaimAuditReport(
         claims=rows,
-        agreement=tuple(tally.finish(name) for name, tally in tallies.items()),
+        agreement=agreement,
         meta=meta,
     )
 
@@ -896,6 +835,8 @@ def sweep(
 
     The varied parameter takes ``steps`` equally spaced values in
     ``[lo, hi]``; all other parameters stay at their given values. The
+    steps are held as columns, one float64 array per parameter, and each
+    step is read back as plain floats for its formulas, cost and gain. The
     oracle columns come from one batch search over every step, read off the
     bare incumbents: no KKT report is built. Errors from validation, from
     formulas without an interior optimum or from the oracle propagate, since
@@ -915,34 +856,35 @@ def sweep(
     grid = grid if grid is not None else GridSpec()
     target_names = tuple(targets) if targets is not None else _DEFAULT_TARGETS[model]
 
-    base_point = SamplePoint(efficiency, costs, f=0.0, a=1.0)
     columns = (vary,) + target_names + ("oracle_f", "oracle_a", "total_cost", "achieved_gain")
-    steps_at: list[tuple[float, SamplePoint]] = []
+    at = {name: np.full(steps, value) for name, value in params_to_mapping((efficiency, costs)).items()}
+    at[vary] = np.linspace(lo, hi, steps)
+    inside = _in_domain(vary, at[vary])
+    solved = steps if inside.all() else int(np.argmin(inside))
     failed: list[DomainError] = []
-    for value in np.linspace(lo, hi, steps):
+    if solved < steps:
+        # The first step out of the domain raises its own constructor's
+        # error. No later step is solved, and the error comes after the rows
+        # of the steps before it, as it would step by step.
         try:
-            steps_at.append((float(value), base_point.with_param(vary, float(value))))
+            replace(efficiency if vary in _EFFICIENCY_FIELDS else costs, **{vary: at[vary][solved].item()})
         except DomainError as exc:
-            # No later step is solved: this error comes after the rows of the
-            # steps before it, as it would step by step.
             failed.append(exc.with_traceback(None))
-            break
-    if not steps_at:
-        raise failed.pop()
-    points = [point for _, point in steps_at]
-    results = _minimize_batch(
-        model, _columns([p.efficiency for p in points]), _columns([p.costs for p in points]), g, grid,
-    )
+        if solved == 0:
+            raise failed.pop()
+    efficiencies, prices = _param_columns({name: column[:solved] for name, column in at.items()})
+    results = _minimize_batch(model, efficiencies, prices, g, grid)
     rows = []
-    for i, (value, point) in enumerate(steps_at):
-        formulas = _sweep_targets(point.efficiency, point.costs, g, target_names)
+    for i in range(solved):
+        step_efficiency, step_costs = _instance(efficiencies, i), _instance(prices, i)
+        formulas = _sweep_targets(step_efficiency, step_costs, g, target_names)
         if isinstance(results[i], EconError):
             # Popped, not bound to a name, as in oracle.minimize_cost.
             raise results.pop(i)
         incumbent = results[i]
         strategy = Strategy(model, q=incumbent.q, f=incumbent.f, a=incumbent.a)
-        rows.append((value,) + tuple(formulas[name] for name in target_names) + (
-            incumbent.f, incumbent.a, cost(strategy, point.costs), gain(strategy, point.efficiency),
+        rows.append((at[vary][i].item(),) + tuple(formulas[name] for name in target_names) + (
+            incumbent.f, incumbent.a, cost(strategy, step_costs), gain(strategy, step_efficiency),
         ))
     if failed:
         raise failed.pop()

@@ -5,8 +5,11 @@ import gc
 import io
 import json
 import math
+import re
+import shlex
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -666,3 +669,43 @@ def test_help_documents_exit_codes(runner):
     assert result.exit_code == 0
     assert "Exit codes: 0 success" in result.output
     assert "4 insufficient" in result.output
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_example(text, command):
+    """The arguments of the README's shell example that starts with
+    ``$ convecon <command>``, and the lines it shows printed."""
+    for block in re.findall(r"```sh\n(.*?)```", text, re.DOTALL):
+        if block.startswith(f"$ convecon {command}"):
+            lines = block.splitlines()
+            end = next(i for i, line in enumerate(lines) if not line.endswith("\\"))
+            args = shlex.split(" ".join(line.rstrip("\\") for line in lines[:end + 1]))[2:]
+            return args, lines[end + 1:]
+    raise AssertionError(f"the README has no {command} example")
+
+
+@pytest.mark.parametrize("command", ["optimize --model m0", "sweep", "simulate"])
+def test_readme_example_prints_what_the_readme_shows(runner, tmp_path, monkeypatch, command):
+    # Run on the README's parameter file, the example prints every line the
+    # README shows, in order and with whitespace normalised (the README
+    # wraps the simulate record); a "..." line stands for lines left out.
+    text = _README.read_text()
+    (tmp_path / "params.json").write_text(re.search(r"```json\n(.*?)```", text, re.DOTALL).group(1))
+    monkeypatch.chdir(tmp_path)
+    args, shown = _readme_example(text, command)
+    result = _run(runner, args)
+    assert result.exit_code == 0, result.output
+    chunks = [[]]
+    for line in shown:
+        if line.strip() == "...":
+            chunks.append([])
+        else:
+            chunks[-1].append(line)
+    pattern = ".*".join(re.escape(" ".join(" ".join(chunk).split())) for chunk in chunks)
+    assert re.fullmatch(pattern, " ".join(result.output.split())), result.output

@@ -38,11 +38,11 @@ from convecon import (
     solve_model0,
     solutions_for,
 )
-from convecon.core import cost_value, gain_value, recover_q_value
+from convecon.core import PARAM_FIELDS, _param_columns, cost_value, gain_value, params_to_mapping, recover_q_value
 from convecon.errors import EconError, NoInteriorOptimum
 from convecon import oracle
 from convecon.oracle import (
-    _Incumbent, _argmin_lex, _block, _columns, _evaluate, _gradients, _log_axes, _minimize_batch,
+    _Incumbent, _argmin_lex, _block, _evaluate, _gradients, _log_axes, _minimize_batch,
 )
 from convecon.statics import audit_claims
 
@@ -51,18 +51,27 @@ M1 = ModelKind.FEEDBACK_FIRST
 M2 = ModelKind.FEEDBACK_AFTER
 
 
+def _param_bundles(pairs):
+    """(efficiency, costs) pairs as the parameter columns ``_minimize_batch``
+    takes."""
+    rows = [params_to_mapping(pair) for pair in pairs]
+    return _param_columns({name: np.array([row[name] for row in rows], dtype=float) for name in PARAM_FIELDS})
+
+
 def _batch(model, instances, g, grid=None, pin=None):
     """``_minimize_batch`` over ``(efficiency, costs, value)`` triples, passed
     as parameter columns and pinned values."""
     efficiencies, costs, values = zip(*instances)
     return _minimize_batch(
-        model, _columns(efficiencies), _columns(costs), g, grid, pin=pin, values=values if pin else None,
+        model, *_param_bundles(zip(efficiencies, costs)), g, grid, pin=pin, values=values if pin else None,
     )
 
 
-def _lattice_columns(params):
-    """Parameter bundles as the (K, 1, 1) columns a block's lattices read."""
-    return _block(_columns(params), list(range(len(params))))
+def _lattice_columns(pairs):
+    """(efficiency, costs) pairs as the (K, 1, 1) columns a block's lattices
+    read."""
+    block = list(range(len(pairs)))
+    return tuple(_block(bundle, block) for bundle in _param_bundles(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +792,7 @@ def test_scalar_recover_q_matches_lattice_bit_for_bit(model):
     windows = [tuple(sorted(np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 2)))) for _ in range(2 * len(pairs))]
     f_axis = _log_axes(_exponents(windows[:len(pairs)]), 16) if model.uses_feedback else np.zeros((len(pairs), 1))
     a_axis = _log_axes(_exponents(windows[len(pairs):]), 16)
-    efficiencies = _lattice_columns([pair[0] for pair in pairs])
-    costs = _lattice_columns([pair[1] for pair in pairs])
+    efficiencies, costs = _lattice_columns(pairs)
     for g in (100.0, 3.2e10, 1e-300):
         block_q = _evaluate(model, efficiencies, costs, g, f_axis, a_axis)[0].copy()
         for k, (efficiency, instance_costs) in enumerate(pairs):
@@ -854,8 +862,7 @@ def test_evaluate_matches_operator_spelling_bit_for_bit(model, size, points):
         if size == 1:
             efficiency, block_costs = lead
         else:
-            efficiency = _lattice_columns([pair[0] for pair in pairs])
-            block_costs = _lattice_columns([pair[1] for pair in pairs])
+            efficiency, block_costs = _lattice_columns(pairs)
         windows = [tuple(sorted(np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 2)))) for _ in range(size * 2)]
         f_axis, a_axis = _log_axes(_exponents(windows[:size]), points), _log_axes(_exponents(windows[size:]), points)
         pinned = np.exp(rng.uniform(np.log(0.5), np.log(30.0), (size, 1)))

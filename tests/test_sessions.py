@@ -162,15 +162,12 @@ class TestJsonl:
         back = read_jsonl(path)
         assert [log.to_dict() for log in back] == [log.to_dict() for log in logs]
 
-    def test_stream_round_trip_drops_runtime_ids(self, std_efficiency, std_costs):
+    def test_stream_round_trip(self, std_efficiency, std_costs):
         logs = simulate(Strategy(M1, 2, 1, 2), std_efficiency, std_costs, sigma=0.4, seed=8, n=2)
         buffer = io.StringIO()
         write_jsonl(logs, buffer)
         back = read_jsonl(io.StringIO(buffer.getvalue()))
         assert [log.to_dict() for log in back] == [log.to_dict() for log in logs]
-        # the substream index is runtime bookkeeping, not data
-        assert "stream_id" not in logs[0].to_dict()
-        assert back[0].stream_id is None
 
     def test_line_shape(self, std_efficiency, std_costs):
         (log,) = simulate(Strategy(M0, 1, 0, 1), std_efficiency, std_costs)

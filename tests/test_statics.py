@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,15 +19,18 @@ from convecon import (
     ModelKind,
     ParameterRegion,
     Quantity,
-    SamplePoint,
     a0_star,
+    a2_star_full,
+    a2_star_partial,
     audit_claims,
     claim_registry,
     default_region,
+    f2_star,
     minimize_cost,
+    model1_solve,
     sweep,
 )
-from convecon.core import _param_columns
+from convecon.core import _param_columns, params_to_mapping
 from convecon.statics import (
     AXIS_ORDER, DEFAULT_AUDIT_GRID, FORMULA_H, ORACLE_H, _differences, _draw_columns, _step_columns,
 )
@@ -122,48 +126,21 @@ class TestParameterRegion:
             ParameterRegion.from_mapping(data)
 
 
-class TestSamplePoint:
-    @pytest.fixture
-    def point(self, std_efficiency, std_costs):
-        return SamplePoint(std_efficiency, std_costs, f=2.0, a=4.0)
-
-    def test_value_of_covers_all_axes(self, point):
-        assert point.value_of("alpha") == 0.9
-        assert point.value_of("c_feedback") == 2.0
-        assert point.value_of("f") == 2.0
-        assert point.value_of("a") == 4.0
-
-    def test_with_param_replaces_only_one_axis(self, point):
-        moved = point.with_param("c_assess", 9.0)
-        assert moved.costs.c_assess == 9.0
-        assert moved.costs.c_query == point.costs.c_query
-        assert point.costs.c_assess == 1.0  # original untouched
-
-    def test_with_param_handles_conditioning_coordinates(self, point):
-        assert point.with_param("f", 0.25).f == 0.25
-        assert point.with_param("a", 7.0).a == 7.0
-
-    def test_unknown_parameter(self, point):
-        with pytest.raises(DomainError, match="unknown parameter"):
-            point.value_of("delta")
-        with pytest.raises(DomainError, match="unknown parameter"):
-            point.with_param("delta", 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Finite differences
 
 
-def _one_sample(point):
+def _one_sample(efficiency, costs, f=2.0, a=4.0):
     """A sample point as the audit's columns: one (1,) array per axis."""
-    return {name: np.array([value]) for name, value in point.to_dict().items()}
+    axes = {**params_to_mapping((efficiency, costs)), "f": f, "a": a}
+    return {name: np.array([value]) for name, value in axes.items()}
 
 
-def _sign(evaluator, parameter, point):
-    """The sign of one central difference, through the audit's step and
-    difference helpers, on a route that evaluates ``evaluator`` unclamped at
-    every moved point (given the moved points' parameter columns)."""
-    columns = _one_sample(point)
+def _sign(evaluator, parameter, columns):
+    """The sign of one central difference at the one sample of ``columns``,
+    through the audit's step and difference helpers, on a route that
+    evaluates ``evaluator`` unclamped at every moved point (given the moved
+    points' parameter columns)."""
     valid, moved = _step_columns(columns, parameter, FORMULA_H)
     efficiency, costs = _param_columns(moved)
     value = np.broadcast_to(evaluator(SimpleNamespace(efficiency=efficiency, costs=costs)), (2,))
@@ -173,40 +150,38 @@ def _sign(evaluator, parameter, point):
 
 
 class TestFiniteDiffSign:
-    @pytest.fixture
-    def point(self, std_efficiency, std_costs):
-        return SamplePoint(std_efficiency, std_costs, f=2.0, a=4.0)
-
-    def test_increasing(self, point):
+    def test_increasing(self, std_efficiency, std_costs):
+        point = _one_sample(std_efficiency, std_costs)
         assert _sign(lambda p: a0_star(p.efficiency, p.costs), "c_query", point) == "+"
 
-    def test_decreasing(self, point):
+    def test_decreasing(self, std_efficiency, std_costs):
+        point = _one_sample(std_efficiency, std_costs)
         assert _sign(lambda p: a0_star(p.efficiency, p.costs), "c_assess", point) == "-"
 
-    def test_flat(self, point):
-        assert _sign(lambda p: 3.25, "c_query", point) == "0"
+    def test_flat(self, std_efficiency, std_costs):
+        assert _sign(lambda p: 3.25, "c_query", _one_sample(std_efficiency, std_costs)) == "0"
 
-    def test_step_is_relative(self, point):
+    def test_step_is_relative(self, std_efficiency, std_costs):
         # A quadratic in the parameter: central differences on a relative
         # step recover the exact derivative sign even far from 1.0.
-        big = point.with_param("c_query", 4000.0)
+        big = _one_sample(std_efficiency, replace(std_costs, c_query=4000.0))
         assert _sign(lambda p: (p.costs.c_query - 5000.0) ** 2, "c_query", big) == "-"
 
-    def test_zero_valued_parameter_is_domain_error(self, point):
+    def test_zero_valued_parameter_is_domain_error(self, std_efficiency, std_costs):
         # A relative step around 0 is no step at all: like a step out of the
         # domain, the sample has no valid step and the audit skips it.
-        valid, moved = _step_columns(_one_sample(point.with_param("gamma1", 0.0)), "gamma1", FORMULA_H)
+        valid, moved = _step_columns(_one_sample(replace(std_efficiency, gamma1=0.0), std_costs), "gamma1", FORMULA_H)
         assert valid.tolist() == [False]
         assert all(len(column) == 0 for column in moved.values())
 
-    def test_step_out_of_domain_is_not_valid(self, point):
+    def test_step_out_of_domain_is_not_valid(self, std_efficiency, std_costs):
         # alpha 0.98 moved up 5% leaves (0, 1]; moved 0.01% it does not.
-        columns = _one_sample(point.with_param("alpha", 0.98))
+        columns = _one_sample(replace(std_efficiency, alpha=0.98), std_costs)
         assert _step_columns(columns, "alpha", ORACLE_H)[0].tolist() == [False]
         valid, moved = _step_columns(columns, "alpha", FORMULA_H)
         assert valid.tolist() == [True]
         assert moved["alpha"].tolist() == [0.98 * (1.0 + FORMULA_H), 0.98 * (1.0 - FORMULA_H)]
-        assert moved["beta"].tolist() == [point.efficiency.beta] * 2
+        assert moved["beta"].tolist() == [std_efficiency.beta] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +196,24 @@ def _regions():
 
 
 def _points(columns):
-    """The samples of the columns as lone points (validated parameters)."""
-    rows = [{name: column[k].item() for name, column in columns.items()} for k in range(len(columns["f"]))]
-    return [
-        SamplePoint(*statics.params_from_mapping({name: row[name] for name in statics.PARAM_FIELDS}), row["f"], row["a"])
-        for row in rows
-    ]
+    """The samples of the columns as lone points: validated parameters and
+    the (f, a) coordinates."""
+    points = []
+    for k in range(len(columns["f"])):
+        row = {name: column[k].item() for name, column in columns.items()}
+        efficiency, costs = statics.params_from_mapping({name: row[name] for name in statics.PARAM_FIELDS})
+        points.append(SimpleNamespace(efficiency=efficiency, costs=costs, f=row["f"], a=row["a"]))
+    return points
+
+
+def _moved(point, parameter, value):
+    """The value of ``parameter`` once the lone point is moved to ``value``:
+    a model parameter goes through its class's constructor by
+    ``dataclasses.replace``, which raises DomainError outside the domain."""
+    for params in (point.efficiency, point.costs):
+        if hasattr(params, parameter):
+            return getattr(replace(params, **{parameter: value}), parameter)
+    return value
 
 
 def test_draws_match_scalar_draws_bit_for_bit():
@@ -253,12 +240,12 @@ def test_step_columns_match_lone_steps_bit_for_bit():
                 valid, moved = _step_columns(columns, parameter, h)
                 expected_valid, expected_up, expected_down = [], [], []
                 for point in points:
-                    base = point.value_of(parameter)
+                    base = {**vars(point.efficiency), **vars(point.costs), "f": point.f, "a": point.a}[parameter]
                     try:
                         if base == 0.0:
                             raise DomainError("zero base")
-                        up = point.with_param(parameter, base * (1.0 + h)).value_of(parameter)
-                        down = point.with_param(parameter, base * (1.0 - h)).value_of(parameter)
+                        up = _moved(point, parameter, base * (1.0 + h))
+                        down = _moved(point, parameter, base * (1.0 - h))
                     except DomainError:
                         expected_valid.append(False)
                         continue
@@ -621,6 +608,12 @@ class TestSweep:
         with pytest.raises(DomainError, match="alpha must be > 0"):
             sweep(ModelKind.BASELINE, std_efficiency, std_costs, "alpha", 0.0, 0.5, 3, 100.0)
 
+    def test_later_step_out_of_domain_raises_its_error(self, std_efficiency, std_costs):
+        # alpha = 1.2 is the last step: the steps before it are solved, and
+        # its error is its constructor's, with no prefix.
+        with pytest.raises(DomainError, match="^alpha must be <= 1$"):
+            sweep(ModelKind.BASELINE, std_efficiency, std_costs, "alpha", 0.6, 1.2, 4, 100.0)
+
     def test_rejects_unknown_target(self, std_efficiency, std_costs):
         with pytest.raises(DomainError, match="unknown sweep target"):
             sweep(
@@ -644,3 +637,45 @@ class TestSweep:
         monkeypatch.setattr(oracle, "kkt_residual", no_report)
         table = sweep(model, std_efficiency, std_costs, "c_query", 5.0, 20.0, 4, 100.0, grid=light_grid)
         assert [row[-4:] for row in table.rows] == expected
+
+
+_SWEEP_TARGETS = ("a0_star", "m1_f_star", "m1_a_star", "f2_star", "a2_star_partial", "a2_star_full")
+
+
+def _lone_targets(efficiency, costs, g):
+    """Every sweep target at one step, each formula called on its own."""
+    pair = model1_solve(efficiency, costs, g).strategy
+    level = f2_star(efficiency, costs).value
+    return {
+        "a0_star": a0_star(efficiency, costs),
+        "m1_f_star": pair.f,
+        "m1_a_star": pair.a,
+        "f2_star": level,
+        "a2_star_partial": a2_star_partial(level, efficiency, costs),
+        "a2_star_full": a2_star_full(level, efficiency, costs).value,
+    }
+
+
+@pytest.mark.parametrize("vary, lo, hi", [("c_feedback", 0.5, 4.0), ("beta", 0.1, 0.4)])
+@pytest.mark.parametrize("model", list(ModelKind), ids=lambda model: model.code)
+def test_sweep_rows_match_lone_steps_bit_for_bit(model, vary, lo, hi, std_efficiency, std_costs, light_grid):
+    # Each row holds the bits of its step alone: the formulas on the step's
+    # parameter classes and minimize_cost's answer.
+    expected = []
+    for value in np.linspace(lo, hi, 4).tolist():
+        efficiency, costs = (
+            (replace(std_efficiency, **{vary: value}), std_costs) if hasattr(std_efficiency, vary)
+            else (std_efficiency, replace(std_costs, **{vary: value}))
+        )
+        solution = minimize_cost(model, efficiency, costs, 100.0, light_grid)
+        expected.append((value, _lone_targets(efficiency, costs, 100.0), (
+            solution.strategy.f, solution.strategy.a, solution.total_cost, solution.achieved_gain,
+        )))
+    for targets in (None, _SWEEP_TARGETS):
+        table = sweep(model, std_efficiency, std_costs, vary, lo, hi, 4, 100.0, targets=targets, grid=light_grid)
+        names = table.columns[1:-4]
+        assert names == (targets or statics._DEFAULT_TARGETS[model])
+        assert [[float(v).hex() for v in row] for row in table.rows] == [
+            [float(v).hex() for v in (value, *(formulas[name] for name in names), *oracle)]
+            for value, formulas, oracle in expected
+        ]
