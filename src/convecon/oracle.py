@@ -42,12 +42,13 @@ searches at the audit grid) evaluates only the feedback rows that can hold
 a round's least cost (:func:`_kept_rows`); a smaller block evaluates every
 row, which is cheaper there. Each round first bounds every row's least cost
 from below (:func:`_row_floors`: the row's continuous minimum over the
-assessment window, worked out from the model row in :mod:`convecon.core`,
-less a 1e-9 relative slack) and evaluates the row with the lowest bound.
+assessment window, one log-space pass from the model row, less a 1e-9
+relative slack) and evaluates the row with the lowest bound, the probe.
 That row's least cost is a lattice value, so no row whose bound exceeds it
 can hold the round's least cost or tie it. The round then evaluates exactly
 the kept rows (:func:`_lattices`): a lone search as a row index into its
-axes; a block as a ragged list of (instance, row) pairs, rows ascending
+axes, or none where it keeps only the probe row and takes its lattice; a
+block as a ragged list of (instance, row) pairs, rows ascending
 within each instance, each pair a one-row lattice with its parameters and
 assessment axis gathered, in slices of whole instances and at most
 ``_BLOCK_NODES`` nodes. Each instance's node is the least over its pairs by
@@ -59,17 +60,15 @@ bits. The bound only chooses rows and never supplies an answer, and it uses
 :mod:`convecon.core`, never the closed forms. Every row is kept where
 subnormal values could lose the precision the slack assumes. A default-grid
 joint solve at the README parameters evaluates 1,600 to 3,000 nodes, not
-160,000; the seed-0 audit's m2 joint searches evaluate 17,513 rows, one
-probe per search and round and 12,113 kept rows. One-axis searches have a
-single row or column and evaluate it all.
+160,000, in at most six :func:`_evaluate` calls; the seed-0 audit's m2
+joint searches, all in blocks, evaluate 17,513 rows, one probe per search
+and round and 12,113 kept rows. One-axis searches have a single row or
+column and evaluate it all. A block's search, whose lattice arithmetic and
+floors overflow by design, runs in one ``np.errstate`` that ignores it.
 
-Each zoom round writes its lattices into a workspace that the thread keeps
-(:func:`_workspace`): three lattice-sized buffers, reused across rounds and
-calls, so a round allocates no lattice. The arena grows only to three times
-the largest lattice or slice the thread is asked for: at most 0.8 MB
-(three ``_BLOCK_NODES`` slices) at the audit grid, and 0.96 MB at the
-default grid, where a lone search or an instance that keeps every row
-evaluates a full 200 x 200 lattice.
+Each zoom round writes its lattices into three buffers that the thread
+keeps across rounds and calls (:func:`_workspace`), so a round allocates no
+lattice: at most 0.8 MB at the audit grid and 0.96 MB at the default grid.
 
 The batch returns bare incumbents (:class:`_Incumbent`): the least-cost
 node's ``(q, f, a)``, the final windows and the lower-corner axes, or the
@@ -482,47 +481,47 @@ def _evaluate(model, efficiency, costs, g, f_axis, a_axis):
     :func:`~convecon.core.recover_q_value` and then
     :func:`~convecon.core.cost_value`, operation for operation, each written
     into a workspace buffer (a model without feedback skips the feedback
-    term, which is zero there). Non-finite costs become ``inf``.
+    term, which is zero there). Non-finite costs become ``inf``; the
+    overflows warn unless the caller ignores them, as :func:`_minimize_batch` does.
     """
     row = _model_row(model)
     fcol = f_axis[:, :, None]
     arow = a_axis[:, None, :]
     qv, total, scratch = _workspace((len(f_axis), f_axis.shape[1], a_axis.shape[1]))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        # q = exp((log g - beta*log a - repeat*gamma2*log1p f) / exponent)
-        log_q = _front(total, arow.shape)
-        np.log(arow, out=log_q)
-        np.multiply(efficiency.beta, log_q, out=log_q)
-        np.subtract(np.log(g), log_q, out=log_q)
-        if row.repeat:
-            passes = _front(scratch, fcol.shape)
-            np.log1p(fcol, out=passes)
-            np.multiply(efficiency.gamma2, passes, out=passes)
-            log_q = np.subtract(log_q, passes, out=qv)
-        if row.lift:
-            exponent = _front(scratch, fcol.shape)
-            np.multiply(efficiency.gamma1, fcol, out=exponent)
-            np.add(exponent, efficiency.alpha, out=exponent)
-            np.divide(log_q, exponent, out=qv)
-        else:
-            np.divide(log_q, efficiency.alpha, out=qv)
-        np.exp(qv, out=qv)
-        # total = q*c_query + (q*f)*c_feedback + assessments*c_assess
-        np.multiply(qv, costs.c_query, out=total)
-        if row.feedback:
-            # Without feedback f = 0, so this term adds +0.0 to a finite
-            # total and leaves a non-finite one non-finite: the same bits.
-            np.multiply(qv, fcol, out=scratch)
-            np.multiply(scratch, costs.c_feedback, out=scratch)
-            np.add(total, scratch, out=total)
-        if row.repeat:
-            np.add(1.0, fcol, out=scratch)
-            np.multiply(qv, scratch, out=scratch)
-            np.multiply(scratch, arow, out=scratch)
-        else:
-            np.multiply(qv, arow, out=scratch)
-        np.multiply(scratch, costs.c_assess, out=scratch)
+    # q = exp((log g - beta*log a - repeat*gamma2*log1p f) / exponent)
+    log_q = _front(total, arow.shape)
+    np.log(arow, out=log_q)
+    np.multiply(efficiency.beta, log_q, out=log_q)
+    np.subtract(np.log(g), log_q, out=log_q)
+    if row.repeat:
+        passes = _front(scratch, fcol.shape)
+        np.log1p(fcol, out=passes)
+        np.multiply(efficiency.gamma2, passes, out=passes)
+        log_q = np.subtract(log_q, passes, out=qv)
+    if row.lift:
+        exponent = _front(scratch, fcol.shape)
+        np.multiply(efficiency.gamma1, fcol, out=exponent)
+        np.add(exponent, efficiency.alpha, out=exponent)
+        np.divide(log_q, exponent, out=qv)
+    else:
+        np.divide(log_q, efficiency.alpha, out=qv)
+    np.exp(qv, out=qv)
+    # total = q*c_query + (q*f)*c_feedback + assessments*c_assess
+    np.multiply(qv, costs.c_query, out=total)
+    if row.feedback:
+        # Without feedback f = 0, so this term adds +0.0 to a finite
+        # total and leaves a non-finite one non-finite: the same bits.
+        np.multiply(qv, fcol, out=scratch)
+        np.multiply(scratch, costs.c_feedback, out=scratch)
         np.add(total, scratch, out=total)
+    if row.repeat:
+        np.add(1.0, fcol, out=scratch)
+        np.multiply(qv, scratch, out=scratch)
+        np.multiply(scratch, arow, out=scratch)
+    else:
+        np.multiply(qv, arow, out=scratch)
+    np.multiply(scratch, costs.c_assess, out=scratch)
+    np.add(total, scratch, out=total)
     np.copyto(total, np.inf, where=~np.isfinite(total))
     return qv, total
 
@@ -538,7 +537,10 @@ def _row_floors(model, efficiency, costs, g, f_axis, a_axis):
     unimodal in ``a``, least at ``a* = r*K1 / ((1 - r)*K2)``; for ``r >= 1``
     it falls in ``a``. So the row's continuous minimum over the assessment
     window is its cost at ``a*`` clipped to the window, less
-    ``_FLOOR_SLACK``.
+    ``_FLOOR_SLACK``. ``log q = (top - beta*log a) / exponent`` with
+    ``top = log g - repeat*gamma2*log1p f``, at ``a*`` and at the window's
+    upper end, is :func:`~convecon.core.recover_q_value` summed in another
+    order: about 1e-13 relative off, far inside the slack.
 
     A row's floor is 0, so that the row is always evaluated, where the
     floor is not finite, or where it or ``min(1, q) * min(1, f, a)`` (at the
@@ -548,23 +550,24 @@ def _row_floors(model, efficiency, costs, g, f_axis, a_axis):
     row = _model_row(model)
     f = f_axis[:, :, None]
     lo, hi = a_axis[:, None, :1], a_axis[:, None, -1:]
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        ratio = efficiency.beta / _query_exponent(row, f, efficiency)
-        fixed = costs.c_query + f * costs.c_feedback
-        per_a = (1.0 + f) * costs.c_assess if row.repeat else costs.c_assess
-        turn = ratio * fixed / ((1.0 - ratio) * per_a)
-        a = np.where(ratio < 1.0, np.minimum(np.maximum(turn, lo), hi), hi)
-        floor = recover_q_value(model, g, f, a, efficiency) * (fixed + per_a * a)
-        floor *= 1.0 - _FLOOR_SLACK
-        least_q = recover_q_value(model, g, f, hi, efficiency)
-        smallest = np.minimum(least_q, 1.0) * np.minimum(np.minimum(f, lo), 1.0)
-        sound = np.isfinite(floor) & (floor > _FLOOR_TINY) & (smallest > _FLOOR_TINY)
+    exponent = _query_exponent(row, f, efficiency)
+    ratio = efficiency.beta / exponent
+    fixed = costs.c_query + f * costs.c_feedback
+    per_a = (1.0 + f) * costs.c_assess if row.repeat else costs.c_assess
+    turn = ratio * fixed / ((1.0 - ratio) * per_a)
+    a = np.where(ratio < 1.0, np.minimum(np.maximum(turn, lo), hi), hi)
+    top = np.log(g) - efficiency.gamma2 * np.log1p(f) if row.repeat else np.log(g)
+    floor = np.exp((top - efficiency.beta * np.log(a)) / exponent) * (fixed + per_a * a) * (1.0 - _FLOOR_SLACK)
+    least_q = np.exp((top - efficiency.beta * np.log(hi)) / exponent)
+    smallest = np.minimum(least_q, 1.0) * np.minimum(np.minimum(f, lo), 1.0)
+    sound = np.isfinite(floor) & (floor > _FLOOR_TINY) & (smallest > _FLOOR_TINY)
     return np.where(sound, floor, 0.0)[:, :, 0]
 
 
 def _kept_rows(model, efficiency, costs, g, f_axis, a_axis):
     """The feedback rows a joint round has to evaluate, as a (K, F) mask:
-    per instance, every row that can hold the round's least cost.
+    per instance, every row that can hold the round's least cost; and the
+    probe lattice ``(rows, qv, total)``, (K,) rows and (K, 1, A) views.
 
     Each instance first evaluates the row with the lowest floor
     (:func:`_row_floors`); that row's least cost ``U`` is a lattice value,
@@ -574,14 +577,14 @@ def _kept_rows(model, efficiency, costs, g, f_axis, a_axis):
     """
     floors = _row_floors(model, efficiency, costs, g, f_axis, a_axis)
     probe = floors.argmin(axis=1)
-    _, probe_total = _evaluate(model, efficiency, costs, g, f_axis[np.arange(len(f_axis)), probe][:, None], a_axis)
-    least = probe_total.min(axis=(1, 2))
+    qv, total = _evaluate(model, efficiency, costs, g, f_axis[np.arange(len(f_axis)), probe][:, None], a_axis)
+    least = total.min(axis=(1, 2))
     kept = floors <= least[:, None]
     kept[~((least > _FLOOR_TINY) & (least < np.inf))] = True
-    return kept
+    return kept, (probe, qv, total)
 
 
-def _lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
+def _lattices(model, efficiency, costs, g, f_axis, a_axis, kept, probe):
     """A round's lattices: yields ``(owners, rows, f_rows, a_rows, qv,
     total)`` per slice of the round.
 
@@ -594,9 +597,9 @@ def _lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
 
     With ``kept`` None, every row is evaluated as one lattice per instance.
     Otherwise only the kept rows: at K=1 as a row index into the instance's
-    axes, and in a block as a ragged list of (instance, row) pairs, a
-    one-row lattice each, with their parameters and assessment axes
-    gathered per pair. A slice holds whole instances and at most
+    axes (the probe row alone: its lattice ``probe``), and in a block as a
+    ragged list of (instance, row) pairs, a one-row lattice each, with
+    their parameters and assessment axes gathered per pair. A slice holds whole instances and at most
     ``_BLOCK_NODES`` nodes, or one instance whose kept rows alone exceed
     that (at most one full lattice, as a lone search evaluates).
     """
@@ -608,7 +611,8 @@ def _lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
     if size == 1:
         rows = np.flatnonzero(kept[0])
         f_rows = f_axis[:, rows]
-        qv, total = _evaluate(model, efficiency, costs, g, f_rows, a_axis)
+        taken = len(rows) == 1 and rows[0] == probe[0][0]
+        qv, total = probe[1:] if taken else _evaluate(model, efficiency, costs, g, f_rows, a_axis)
         yield None, rows[None, :], f_rows, a_axis, qv, total
         return
     owners, rows = np.nonzero(kept)
@@ -645,7 +649,7 @@ def _least_pairs(owners, index, total, qv, f_rows, a_rows) -> np.ndarray:
     return order[np.r_[True, owners[order[1:]] != owners[order[:-1]]]]
 
 
-def _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, last):
+def _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, probe, last):
     """Evaluate one round (:func:`_lattices`); returns ``[index, f_idx,
     a_idx]``, (K,) arrays over the instances: the flat index of the
     instance's least-cost node in its lattice, -1 where no node has a
@@ -666,7 +670,7 @@ def _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, last):
     parts = []
     f_falling: list[int] = []
     a_falling: list[int] = []
-    for owners, rows, f_rows, a_rows, qv, total in _lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
+    for owners, rows, f_rows, a_rows, qv, total in _lattices(model, efficiency, costs, g, f_axis, a_axis, kept, probe):
         index = _argmin_lex(total, qv, f_rows, a_rows)
         if ragged:
             lattices = _least_pairs(owners, index, total, qv, f_rows, a_rows)
@@ -783,9 +787,7 @@ def _minimize_batch(
     boundary diagnostics. ``values`` is ignored when ``pin`` is None.
     Returns, in order, each instance's incumbent or the :class:`EconError`
     its search ends in, kept without a traceback; incumbents match their
-    own K=1 calls bit for bit. Instances are searched together in blocks
-    whose rounds hold at most ``_BLOCK_NODES`` nodes at once, and at least
-    one instance.
+    own K=1 calls bit for bit.
     """
     g = check_gain(g)
     if not isinstance(model, ModelKind):
@@ -812,7 +814,8 @@ def _minimize_batch(
     for start in range(0, len(pending), cap):
         block = pending[start:start + cap]
         params = (efficiency, costs) if lone else (_block(efficiency, block), _block(costs, block))
-        solved = _search(model, *params, len(block), None if pin is None else values[block], g, spec, pin)
+        with np.errstate(all="ignore"):
+            solved = _search(model, *params, len(block), None if pin is None else values[block], g, spec, pin)
         for k, result in zip(block, solved):
             results[k] = result
     return results
@@ -832,11 +835,8 @@ def _search(
     lattices stacked on a leading axis; each instance keeps its own
     windows. ``efficiency`` and ``costs`` are the block's parameters
     (:func:`_block`), and ``values`` its (K,) pinned values, None without a
-    pin. Returns what :func:`_minimize_batch` does for the block.
-
-    The lattices live in the thread's workspace (:func:`_workspace`) and
-    only floats copied out of them are returned, so this is not re-entrant
-    within a thread."""
+    pin. Returns what :func:`_minimize_batch` does for the block, only
+    floats copied out of the thread's workspace (:func:`_workspace`)."""
     pinned = values.reshape(size, 1) if pin is not None else None
     # A model without feedback searches the single feedback row f = 0.
     f_fixed = pinned if pin == "f" else None if model.uses_feedback else np.zeros((size, 1))
@@ -857,9 +857,9 @@ def _search(
         axes = _log_axes(windows.exponents, spec.points)
         f_axis = axes[:size] if f_fixed is None else f_fixed
         a_axis = axes[rows - size:] if a_fixed is None else a_fixed
-        kept = _kept_rows(model, efficiency, costs, g, f_axis, a_axis) if prune else None
+        kept, probe = _kept_rows(model, efficiency, costs, g, f_axis, a_axis) if prune else (None, None)
         last = round_index == spec.refinements
-        index, f_idx, a_idx, *outcome = _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, last)
+        index, f_idx, a_idx, *outcome = _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, probe, last)
         if min(index.tolist()) < 0:
             for k in np.flatnonzero(index < 0).tolist():
                 # A valid input whose gain target no finite query count reaches.

@@ -7,7 +7,6 @@ completes in well under a minute on one core.
 """
 
 import json
-import math
 from collections import Counter
 
 import numpy as np

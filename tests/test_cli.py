@@ -690,17 +690,40 @@ def _readme_example(text, command):
     raise AssertionError(f"the README has no {command} example")
 
 
-@pytest.mark.parametrize("command", ["optimize --model m0", "sweep", "simulate"])
+def _assert_same_document(got, want, path="$"):
+    """Keys in order, strings, counts and verdicts exactly, and floats to
+    1e-9 relative: which loops numpy dispatches to (AVX-512 or not) moves
+    the last digits of the oracle's floats."""
+    if isinstance(want, (dict, list)):
+        assert type(got) is type(want) and len(got) == len(want), path
+        if isinstance(want, dict):
+            assert list(got) == list(want), path
+        for key, value in (want.items() if isinstance(want, dict) else enumerate(want)):
+            _assert_same_document(got[key], value, f"{path}.{key}")
+    elif float in (type(got), type(want)):
+        assert type(got) in (int, float) and math.isclose(got, want, rel_tol=1e-9), f"{path}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize(
+    "command", ["optimize --model m0", "oracle --model m2", "viability", "sweep", "simulate"],
+)
 def test_readme_example_prints_what_the_readme_shows(runner, tmp_path, monkeypatch, command):
     # Run on the README's parameter file, the example prints every line the
     # README shows, in order and with whitespace normalised (the README
     # wraps the simulate record); a "..." line stands for lines left out.
+    # The oracle and viability examples show whole documents, compared as
+    # documents (_assert_same_document).
     text = _README.read_text()
     (tmp_path / "params.json").write_text(re.search(r"```json\n(.*?)```", text, re.DOTALL).group(1))
     monkeypatch.chdir(tmp_path)
     args, shown = _readme_example(text, command)
     result = _run(runner, args)
     assert result.exit_code == 0, result.output
+    if args[0] in ("oracle", "viability"):
+        _assert_same_document(json.loads(result.output), json.loads("\n".join(shown)))
+        return
     chunks = [[]]
     for line in shown:
         if line.strip() == "...":

@@ -10,6 +10,8 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from convecon import (
     recover_q,
     solve_model0,
     solutions_for,
+    viability,
 )
 from convecon.core import PARAM_FIELDS, _param_columns, cost_value, gain_value, params_to_mapping, recover_q_value
 from convecon.errors import EconError, NoInteriorOptimum
@@ -794,9 +797,11 @@ def test_scalar_recover_q_matches_lattice_bit_for_bit(model):
     a_axis = _log_axes(_exponents(windows[len(pairs):]), 16)
     efficiencies, costs = _lattice_columns(pairs)
     for g in (100.0, 3.2e10, 1e-300):
-        block_q = _evaluate(model, efficiencies, costs, g, f_axis, a_axis)[0].copy()
+        with np.errstate(all="ignore"):
+            block_q = _evaluate(model, efficiencies, costs, g, f_axis, a_axis)[0].copy()
         for k, (efficiency, instance_costs) in enumerate(pairs):
-            lone_q = _evaluate(model, efficiency, instance_costs, g, f_axis[k:k + 1], a_axis[k:k + 1])[0]
+            with np.errstate(all="ignore"):
+                lone_q = _evaluate(model, efficiency, instance_costs, g, f_axis[k:k + 1], a_axis[k:k + 1])[0]
             scalar = [
                 [float(recover_q_value(model, g, float(f), float(a), efficiency)).hex() for a in a_axis[k]]
                 for f in f_axis[k]
@@ -873,7 +878,8 @@ def test_evaluate_matches_operator_spelling_bit_for_bit(model, size, points):
         for g in (100.0, 3.2e10):
             for f, a in shapes:
                 want_q, want_total = _reference_surfaces(model, efficiency, block_costs, g, f, a)
-                got_q, got_total = _evaluate(model, efficiency, block_costs, g, f, a)
+                with np.errstate(all="ignore"):
+                    got_q, got_total = _evaluate(model, efficiency, block_costs, g, f, a)
                 assert got_q.shape == got_total.shape == want_q.shape
                 assert np.array_equal(_bits(got_q), _bits(want_q))
                 assert np.array_equal(_bits(got_total), _bits(want_total))
@@ -987,16 +993,22 @@ def _count_rows(monkeypatch):
     return calls
 
 
+def _only_probe(kept, probe):
+    """Whether a round is a lone search's that keeps only its probe row."""
+    return len(kept) == 1 and kept.sum() == 1 and bool(kept[0, probe[0][0]])
+
+
 def _count_kept(monkeypatch):
     """Wrap ``_kept_rows``; the list it returns gets each pruned round's
-    kept-row count per instance."""
+    kept-row count per instance and whether it keeps only a lone search's
+    probe row (:func:`_only_probe`)."""
     rounds = []
     kept_rows = oracle._kept_rows
 
     def counting(*args):
-        kept = kept_rows(*args)
-        rounds.append(kept.sum(axis=1).tolist())
-        return kept
+        kept, probe = kept_rows(*args)
+        rounds.append((kept.sum(axis=1).tolist(), _only_probe(kept, probe)))
+        return kept, probe
 
     monkeypatch.setattr(oracle, "_kept_rows", counting)
     return rounds
@@ -1026,9 +1038,11 @@ def test_row_floors_keep_every_incumbent_bit_for_bit(model, grid, monkeypatch):
     rounds = _count_kept(monkeypatch)
     pruned = [_outcomes(_batch(model, instances, g, grid)) for instances, g in jobs]
     # Each round evaluates one probe row per instance, then exactly its kept
-    # rows: no padding rows. Many rounds leave rows out.
-    assert sum(rows for rows, _ in calls) == sum(len(kept) + sum(kept) for kept in rounds)
-    assert sum(sum(kept) < len(kept) * grid.points for kept in rounds) > len(rounds) // 5
+    # rows: no padding rows. A lone round that keeps only its probe row
+    # evaluates it once. Many rounds leave rows out.
+    assert sum(rows for rows, _ in calls) == sum(len(kept) + sum(kept) - lone for kept, lone in rounds)
+    assert any(lone for _, lone in rounds)
+    assert sum(sum(kept) < len(kept) * grid.points for kept, _ in rounds) > len(rounds) // 5
     monkeypatch.setattr(oracle, "_PRUNE_NODES", math.inf)  # every row of every round
     full = [_outcomes(_batch(model, instances, g, grid)) for instances, g in jobs]
     assert pruned == full
@@ -1071,8 +1085,9 @@ def test_row_floor_never_exceeds_the_row_least_cost(model, efficiency, costs, lo
     f_axis = _log_axes(_exponents([(10.0 ** f_lo, 10.0 ** (f_lo + f_span))]), 31)
     a_axis = _log_axes(_exponents([(10.0 ** a_lo, 10.0 ** (a_lo + a_span))]), 31)
     g = 10.0 ** log_gain
-    floors = oracle._row_floors(model, efficiency, costs, g, f_axis, a_axis)
-    _, total = _evaluate(model, efficiency, costs, g, f_axis, a_axis)
+    with np.errstate(all="ignore"):
+        floors = oracle._row_floors(model, efficiency, costs, g, f_axis, a_axis)
+        _, total = _evaluate(model, efficiency, costs, g, f_axis, a_axis)
     assert floors.shape == (1, 31)
     assert np.all(floors[0] <= total[0].min(axis=1))
 
@@ -1081,10 +1096,41 @@ def test_row_floor_never_exceeds_the_row_least_cost(model, efficiency, costs, lo
 @pytest.mark.parametrize("model", [M1, M2])
 def test_default_grid_joint_solve_evaluates_few_nodes(model, g, std_efficiency, std_costs, monkeypatch):
     # The full lattice is 4 rounds of 200 x 200 nodes; the rows that can
-    # hold each round's least cost, probe rows included, are a few.
+    # hold each round's least cost, probe rows included, are a few. Each
+    # round evaluates its probe row, and most keep only that row, which
+    # the round takes without evaluating it again.
     calls = _count_rows(monkeypatch)
     minimize_cost(model, std_efficiency, std_costs, g)
     assert sum(rows * columns for rows, columns in calls) <= 4000
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("model", [M1, M2])
+def test_row_floors_lone_round_evaluates_its_probe_once(model, std_efficiency, std_costs, monkeypatch):
+    # A lone round that keeps only its probe row makes one _evaluate call,
+    # the probe's; a round that keeps more rows makes two.
+    calls = _count_rows(monkeypatch)
+    rounds = []
+    kept_rows, least_nodes = oracle._kept_rows, oracle._least_nodes
+
+    def counting_kept(*args):
+        start = len(calls)
+        kept, probe = kept_rows(*args)
+        rounds.append([_only_probe(kept, probe), start])
+        return kept, probe
+
+    def counting_nodes(*args):
+        nodes = least_nodes(*args)
+        rounds[-1][1] = len(calls) - rounds[-1][1]
+        return nodes
+
+    monkeypatch.setattr(oracle, "_kept_rows", counting_kept)
+    monkeypatch.setattr(oracle, "_least_nodes", counting_nodes)
+    for g in (10.0, 1e2, 1e4, 1e6):
+        minimize_cost(model, std_efficiency, std_costs, g)
+    assert len(rounds) == 16
+    assert any(lone for lone, _ in rounds)
+    assert all(evaluated == (1 if lone else 2) for lone, evaluated in rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,10 +1143,10 @@ def _count_slices(monkeypatch):
     rounds = []
     lattices = oracle._lattices
 
-    def counting(model, efficiency, costs, g, f_axis, a_axis, kept):
+    def counting(model, efficiency, costs, g, f_axis, a_axis, kept, probe):
         if kept is not None:
             rounds.append([])
-        for lattice in lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
+        for lattice in lattices(model, efficiency, costs, g, f_axis, a_axis, kept, probe):
             if kept is not None:
                 rounds[-1].append(lattice[-1].shape[:2])
             yield lattice
@@ -1214,14 +1260,14 @@ def test_audit_feedback_after_rounds_evaluate_kept_rows_and_probes_only(monkeypa
     kept_rows, lattices = oracle._kept_rows, oracle._lattices
 
     def counting_kept(model, *args):
-        kept = kept_rows(model, *args)
+        kept, probe = kept_rows(model, *args)
         if model is M2:
             rows["probes"] += len(kept)
             rows["kept"] += int(kept.sum())
-        return kept
+        return kept, probe
 
-    def counting_lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
-        for lattice in lattices(model, efficiency, costs, g, f_axis, a_axis, kept):
+    def counting_lattices(model, efficiency, costs, g, f_axis, a_axis, kept, probe):
+        for lattice in lattices(model, efficiency, costs, g, f_axis, a_axis, kept, probe):
             if model is M2 and kept is not None:
                 rows["evaluated"] += lattice[-1].shape[0] * lattice[-1].shape[1]
             yield lattice
@@ -1232,3 +1278,19 @@ def test_audit_feedback_after_rounds_evaluate_kept_rows_and_probes_only(monkeypa
     assert rows["probes"] == 5400  # 1,800 searches, 3 rounds each
     assert rows["evaluated"] == rows["kept"]
     assert rows["probes"] + rows["kept"] < 18_000
+
+
+def test_solves_and_audit_raise_no_runtime_warning(std_efficiency, std_costs):
+    # The lattice arithmetic and the row floors overflow, underflow and
+    # divide by zero by design (gain 1e300 overflows most query counts);
+    # each block's search runs in one error state that keeps them quiet,
+    # and nothing outside it warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for g in (100.0, 1e300, 1e-300):
+            for solve in [partial(minimize_cost, model) for model in (M0, M1, M2)] + [viability]:
+                try:
+                    solve(std_efficiency, std_costs, g)
+                except EconError:
+                    pass
+        audit_claims(samples=20, seed=0)

@@ -1,6 +1,5 @@
 """Comparative statics: claim registry, sign audit, agreement, sweeps."""
 
-import math
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -10,12 +9,9 @@ import pytest
 
 from convecon import oracle, statics
 from convecon import (
-    Claim,
     CostParams,
     DomainError,
-    EfficiencyParams,
     FormulaVariant,
-    GridSpec,
     ModelKind,
     ParameterRegion,
     Quantity,
