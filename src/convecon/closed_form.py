@@ -20,7 +20,10 @@ interaction models. Conventions used throughout:
   for ``f`` and ``a``. Each column entry gets the bits of its own call on
   plain floats. A domain guard (:func:`_fails`) raises as before for plain
   floats, and for columns when any entry fails it; the audit then repeats
-  the call entry by entry (:func:`_one_by_one`). The coupled solvers are
+  the call entry by entry (:func:`_one_by_one`). A guard also fails where
+  its denominator underflows a float to 0, and a value past a float's range
+  outside the coupled loop (:func:`_in_range`) has no interior optimum, as
+  a query count past it has in :func:`recover_q`. The coupled solvers are
   one damped loop over K instances (:func:`_solve_coupled`): plain floats
   for the lone entries :func:`model1_solve` and
   :func:`model2_solve_coupled`, columns for the audit's agreement rows.
@@ -99,6 +102,22 @@ def _fails(bad) -> bool:
     return bad is True or bad is not False and bool(bad.any())
 
 
+def _in_range(value, name: str, low: float = -math.inf):
+    """``value``, a formula's output as a plain float or a column; raises
+    :class:`NoInteriorOptimum` where it, or any element, is not finite or
+    not above ``low``: the formula left a float's range."""
+    inside = (value > low) & (value < math.inf)
+    if _fails(~inside if isinstance(inside, np.ndarray) else not inside):
+        raise NoInteriorOptimum(f"{name} leaves the range of a float")
+    return value
+
+
+def _underflow(name: str, denominator: str) -> NoInteriorOptimum:
+    """The error of a formula whose denominator, positive for these
+    parameters, underflows a float to 0."""
+    return NoInteriorOptimum(f"the {name} formula's denominator {denominator} underflows a float to 0")
+
+
 def a0_star(efficiency: EfficiencyParams, costs: CostParams) -> float:
     """Baseline assessment depth: ``beta * c_query / ((alpha - beta) * c_assess)``.
 
@@ -106,12 +125,15 @@ def a0_star(efficiency: EfficiencyParams, costs: CostParams) -> float:
     itself and there is no interior optimum to return.
     """
     gap = efficiency.alpha - efficiency.beta
-    if _fails(gap <= 0.0):
-        raise NoInteriorOptimum(
-            "baseline depth requires alpha > beta "
-            f"(got alpha={efficiency.alpha}, beta={efficiency.beta})"
-        )
-    return efficiency.beta * costs.c_query / (gap * costs.c_assess)
+    denominator = gap * costs.c_assess
+    if _fails(denominator <= 0.0):
+        if _fails(gap <= 0.0):
+            raise NoInteriorOptimum(
+                "baseline depth requires alpha > beta "
+                f"(got alpha={efficiency.alpha}, beta={efficiency.beta})"
+            )
+        raise _underflow("baseline depth", "(alpha - beta) * c_assess")
+    return _in_range(efficiency.beta * costs.c_query / denominator, "the baseline depth", 0.0)
 
 
 def a1_star(f: float, efficiency: EfficiencyParams, costs: CostParams) -> float:
@@ -123,12 +145,15 @@ def a1_star(f: float, efficiency: EfficiencyParams, costs: CostParams) -> float:
     if _fails(f < 0.0):
         raise DomainError("f must be >= 0")
     gap = efficiency.gamma1 * f + efficiency.alpha - efficiency.beta
-    if _fails(gap <= 0.0):
-        raise NoInteriorOptimum(
-            "m1 depth requires gamma1 * f + alpha > beta "
-            f"(got {efficiency.gamma1} * {f} + {efficiency.alpha} vs beta={efficiency.beta})"
-        )
-    return (efficiency.beta * costs.c_query + f * costs.c_feedback) / (gap * costs.c_assess)
+    denominator = gap * costs.c_assess
+    if _fails(denominator <= 0.0):
+        if _fails(gap <= 0.0):
+            raise NoInteriorOptimum(
+                "m1 depth requires gamma1 * f + alpha > beta "
+                f"(got {efficiency.gamma1} * {f} + {efficiency.alpha} vs beta={efficiency.beta})"
+            )
+        raise _underflow("m1 depth", "(gamma1 * f + alpha - beta) * c_assess")
+    return (efficiency.beta * costs.c_query + f * costs.c_feedback) / denominator
 
 
 def f1_star(a: float, efficiency: EfficiencyParams, costs: CostParams) -> ClampedValue:
@@ -156,16 +181,15 @@ def a2_star_partial(f: float, efficiency: EfficiencyParams, costs: CostParams) -
     if _fails(f < 0.0):
         raise DomainError("f must be >= 0")
     gap = efficiency.alpha - efficiency.beta
-    if _fails(gap <= 0.0):
-        raise NoInteriorOptimum(
-            "m2 depth requires alpha > beta "
-            f"(got alpha={efficiency.alpha}, beta={efficiency.beta})"
-        )
-    return (
-        efficiency.beta
-        * (costs.c_query + f * costs.c_feedback)
-        / (gap * (f + 1.0) * costs.c_assess)
-    )
+    denominator = gap * (f + 1.0) * costs.c_assess
+    if _fails(denominator <= 0.0):
+        if _fails(gap <= 0.0):
+            raise NoInteriorOptimum(
+                "m2 depth requires alpha > beta "
+                f"(got alpha={efficiency.alpha}, beta={efficiency.beta})"
+            )
+        raise _underflow("m2 depth", "(alpha - beta) * (f + 1) * c_assess")
+    return efficiency.beta * (costs.c_query + f * costs.c_feedback) / denominator
 
 
 def a2_star_full(f: float, efficiency: EfficiencyParams, costs: CostParams) -> ClampedValue:
@@ -179,15 +203,18 @@ def a2_star_full(f: float, efficiency: EfficiencyParams, costs: CostParams) -> C
     if _fails(f < 0.0):
         raise DomainError("f must be >= 0")
     gap = efficiency.alpha - efficiency.gamma2
-    if _fails(gap == 0.0):
-        raise DomainError(
-            f"m2 full-depth formula is undefined at alpha == gamma2 (both {efficiency.alpha})"
-        )
+    denominator = gap * (1.0 + f) * costs.c_assess
+    if _fails(denominator == 0.0):
+        if _fails(gap == 0.0):
+            raise DomainError(
+                f"m2 full-depth formula is undefined at alpha == gamma2 (both {efficiency.alpha})"
+            )
+        raise _underflow("m2 full-depth", "(alpha - gamma2) * (1 + f) * c_assess")
     raw = (
         efficiency.gamma2 * (costs.c_query + costs.c_feedback)
         - efficiency.alpha * (1.0 + f) * costs.c_feedback
-    ) / (gap * (1.0 + f) * costs.c_assess)
-    return _clamp_floor(raw)
+    ) / denominator
+    return _clamp_floor(_in_range(raw, "the m2 full depth"))
 
 
 def f2_star(efficiency: EfficiencyParams, costs: CostParams) -> ClampedValue:
@@ -199,15 +226,18 @@ def f2_star(efficiency: EfficiencyParams, costs: CostParams) -> ClampedValue:
     pin down.
     """
     gap = efficiency.alpha - efficiency.gamma2
-    if _fails(gap == 0.0):
-        raise DomainError(
-            f"m2 feedback formula is undefined at alpha == gamma2 (both {efficiency.alpha})"
-        )
+    denominator = gap * costs.c_feedback
+    if _fails(denominator == 0.0):
+        if _fails(gap == 0.0):
+            raise DomainError(
+                f"m2 feedback formula is undefined at alpha == gamma2 (both {efficiency.alpha})"
+            )
+        raise _underflow("m2 feedback", "(alpha - gamma2) * c_feedback")
     raw = (
         (efficiency.gamma2 - efficiency.beta) * costs.c_query
         + (efficiency.beta - efficiency.alpha) * costs.c_feedback
-    ) / (gap * costs.c_feedback)
-    return _clamp_floor(raw)
+    ) / denominator
+    return _clamp_floor(_in_range(raw, "the m2 feedback level"))
 
 
 def f2_star_coupled(a: float, efficiency: EfficiencyParams, costs: CostParams) -> ClampedValue:
@@ -489,7 +519,7 @@ def solve_model2_partial(
     """
     g = check_gain(g)
     fb = f2_star(efficiency, costs)
-    a = a2_star_partial(fb.value, efficiency, costs)
+    a = _in_range(a2_star_partial(fb.value, efficiency, costs), "the m2 partial depth", 0.0)
     q = recover_q(g, fb.value, a, ModelKind.FEEDBACK_AFTER, efficiency)
     return ClosedFormSolution(
         strategy=Strategy(ModelKind.FEEDBACK_AFTER, q=q, f=fb.value, a=a),

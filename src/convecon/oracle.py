@@ -12,15 +12,14 @@ and one pin kind are searched at once, their lattices stacked as
 (K, feedback, assessment) arrays, each instance with its own windows.
 :func:`_minimize_batch` is the one entry: it takes the instances as
 parameter columns, one (K,) array per field
-(:func:`~convecon.core._param_columns`), validates their pinned values and
-solves them in blocks sized by the nodes a round holds at once, at most
-``_BLOCK_NODES`` (at least one instance per block): one row of nodes per
-one-axis search and about four per joint search. At the audit grid (64
-points) a block holds 512 one-axis or 128 joint searches; at the default
-grid (200 points) 163 or 40, so a 25-step sweep is one block.
-:func:`minimize_cost` is its one-instance call, and the audit passes it
-every perturbed sample of a claim at once. Every instance gets the bits its
-own K=1 call gives, by three rules:
+(:func:`~convecon.core._param_columns`), and solves them in blocks sized by
+the nodes a round holds at once, at most ``_BLOCK_NODES`` (at least one
+instance per block): one row of nodes per one-axis search and about four
+per joint search. At the audit grid (64 points) a block holds 512 one-axis
+or 128 joint searches; at the default grid (200 points) 163 or 40, so a
+25-step sweep is one block. :func:`minimize_cost` is its one-instance call,
+and the audit passes it every perturbed sample of a claim at once. Every
+instance gets the bits its own K=1 call gives, by three rules:
 
 * the query count is taken in log space by numpy's elementwise ``log``,
   ``log1p`` and ``exp`` (:func:`~convecon.core.recover_q_value`), whose
@@ -48,23 +47,26 @@ That row's least cost is a lattice value, so no row whose bound exceeds it
 can hold the round's least cost or tie it. The round then evaluates exactly
 the kept rows (:func:`_lattices`): a lone search as a row index into its
 axes, or none where it keeps only the probe row and takes its lattice; a
-block as a ragged list of (instance, row) pairs, rows ascending
-within each instance, each pair a one-row lattice with its parameters and
-assessment axis gathered, in slices of whole instances and at most
-``_BLOCK_NODES`` nodes. Each instance's node is the least over its pairs by
-(cost, q, f, a), the first row among equals (:func:`_least_pairs`), which
-is the node its whole lattice gives; the :class:`Unbounded` check counts a
-neighbour row that was not evaluated as costlier, which its floor proves.
-So the incumbent, the tie-break, the corner flags and the check keep their
-bits. The bound only chooses rows and never supplies an answer, and it uses
-:mod:`convecon.core`, never the closed forms. Every row is kept where
-subnormal values could lose the precision the slack assumes. A default-grid
-joint solve at the README parameters evaluates 1,600 to 3,000 nodes, not
-160,000, in at most six :func:`_evaluate` calls; the seed-0 audit's m2
-joint searches, all in blocks, evaluate 17,513 rows, one probe per search
-and round and 12,113 kept rows. One-axis searches have a single row or
-column and evaluate it all. A block's search, whose lattice arithmetic and
-floors overflow by design, runs in one ``np.errstate`` that ignores it.
+block as a ragged list of (instance, row) pairs, rows ascending within each
+instance, each pair a one-row lattice with its parameters and assessment
+axis gathered, in slices of whole instances and at most ``_BLOCK_NODES``
+nodes. Each instance's node is the least over its pairs by (cost, q, f, a),
+the first row among equals (:func:`_least_pairs`), which is the node its
+whole lattice gives. So the incumbent, the tie-break and the corner flags
+keep their bits. :class:`Unbounded` needs no row a round left out: after
+the last round, :func:`_search` evaluates each node on a searched axis's
+upper box edge again, next to the node one step below it on that axis, in
+one :func:`_evaluate` call per such axis, and the instance is unbounded
+where the node is the cheaper. The bound only chooses rows and never
+supplies an answer, and it uses :mod:`convecon.core`, never the closed
+forms. Every row is kept where subnormal values could lose the precision
+the slack assumes. A default-grid joint solve at the README parameters
+evaluates 1,600 to 3,000 nodes, not 160,000, in at most six
+:func:`_evaluate` calls; the seed-0 audit's m2 joint searches, all in
+blocks, evaluate 17,513 rows, one probe per search and round and 12,113
+kept rows. One-axis searches have a single row or column and evaluate it
+all. A block's search, whose lattice arithmetic and floors overflow by
+design, runs in one ``np.errstate`` that ignores it.
 
 Each zoom round writes its lattices into three buffers that the thread
 keeps across rounds and calls (:func:`_workspace`), so a round allocates no
@@ -346,8 +348,8 @@ def kkt_residual(
     Small residuals certify an interior stationary point (:class:`KktReport`);
     a corner optimum legitimately shows a non-zero feedback residual, so
     this is a diagnostic, not a pass/fail test on its own. A gradient
-    component or a residual that overflows a float raises
-    :class:`NoInteriorOptimum`.
+    component, a residual or the constraint gap that overflows a float
+    raises :class:`NoInteriorOptimum`.
     """
     g = check_gain(g)
     cost_grad, gain_grad = _gradients(strategy, efficiency, costs)
@@ -363,9 +365,9 @@ def kkt_residual(
     # out of the residuals.
     residual_q = (cost_grad[0] - lam * gain_grad[0]) / cost_grad[0]
     residual_f = strategy.f * ((cost_grad[1] - lam * gain_grad[1]) / strategy.q) / cost_grad[0]
-    if not (math.isfinite(residual_q) and math.isfinite(residual_f)):
-        raise NoInteriorOptimum(f"the KKT residuals {at} overflow a float")
     gap = (gain(strategy, efficiency) - g) / g
+    if not (math.isfinite(residual_q) and math.isfinite(residual_f) and math.isfinite(gap)):
+        raise NoInteriorOptimum(f"the KKT residuals or constraint gap {at} overflow a float")
     return KktReport(
         lam=lam,
         residual_q=residual_q,
@@ -599,9 +601,10 @@ def _lattices(model, efficiency, costs, g, f_axis, a_axis, kept, probe):
     Otherwise only the kept rows: at K=1 as a row index into the instance's
     axes (the probe row alone: its lattice ``probe``), and in a block as a
     ragged list of (instance, row) pairs, a one-row lattice each, with
-    their parameters and assessment axes gathered per pair. A slice holds whole instances and at most
-    ``_BLOCK_NODES`` nodes, or one instance whose kept rows alone exceed
-    that (at most one full lattice, as a lone search evaluates).
+    their parameters and assessment axes gathered per pair. A slice holds
+    whole instances and at most ``_BLOCK_NODES`` nodes, or one instance
+    whose kept rows alone exceed that (at most one full lattice, as a lone
+    search evaluates).
     """
     size = len(f_axis)
     if kept is None:
@@ -654,52 +657,20 @@ def _least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, probe, last)
     a_idx]``, (K,) arrays over the instances: the flat index of the
     instance's least-cost node in its lattice, -1 where no node has a
     finite cost, and the node's indices on the instance's axes. The
-    ``last`` round appends ``q``, each node's query count, and ``f_falling``
-    and ``a_falling``: the instances (lists) whose node sits on the last
-    index of the feedback or the assessment axis, where that axis has more
-    than one point, and costs less than the node before it on that axis.
-
-    The node before on the feedback axis is the lattice row before, or the
-    previous lattice's row where that is a pair of the same instance; it
-    must be the instance's previous feedback row. A feedback row the round
-    left out has a floor above the node's cost, so every node of it is
-    costlier.
+    ``last`` round appends ``q``, each node's query count.
     """
-    ragged = kept is not None and len(f_axis) > 1
-    last_row = f_axis.shape[1] - 1
     parts = []
-    f_falling: list[int] = []
-    a_falling: list[int] = []
     for owners, rows, f_rows, a_rows, qv, total in _lattices(model, efficiency, costs, g, f_axis, a_axis, kept, probe):
         index = _argmin_lex(total, qv, f_rows, a_rows)
-        if ragged:
+        if kept is not None and len(f_axis) > 1:
             lattices = _least_pairs(owners, index, total, qv, f_rows, a_rows)
             index = index[lattices]
         elif rows is not None or last:
             lattices = np.arange(len(index))
         i, a_idx = index // total.shape[2], index % total.shape[2]
         f_idx = i if rows is None else rows[lattices, i]
-        parts.append([index, f_idx, a_idx])
-        if not last:
-            continue
-        parts[-1].append(qv[lattices, i, a_idx])
-        # Nodes on an upper edge are few: they are worked out one by one.
-        # Lattice j belongs to instance owners[j], or to instance j.
-        for e in (f_idx == last_row).nonzero()[0].tolist() if last_row else ():
-            j, r, f, a = lattices[e], i[e], f_idx[e], a_idx[e]
-            before = np.inf
-            if r > 0 and (rows is None or rows[j, r - 1] == f - 1):
-                before = total[j, r - 1, a]
-            elif r == 0 and ragged and j > 0 and owners[j - 1] == owners[j] and rows[j - 1, -1] == f - 1:
-                before = total[j - 1, -1, a]
-            if total[j, r, a] < before:
-                f_falling.append(e if owners is None else int(owners[j]))
-        for e in (a_idx == total.shape[2] - 1).nonzero()[0].tolist() if total.shape[2] > 1 else ():
-            j, r, a = lattices[e], i[e], a_idx[e]
-            if total[j, r, a] < total[j, r, a - 1]:
-                a_falling.append(e if owners is None else int(owners[j]))
-    columns = parts[0] if len(parts) == 1 else [np.concatenate(column) for column in zip(*parts)]
-    return columns + [f_falling, a_falling] if last else columns
+        parts.append([index, f_idx, a_idx, qv[lattices, i, a_idx]] if last else [index, f_idx, a_idx])
+    return parts[0] if len(parts) == 1 else [np.concatenate(column) for column in zip(*parts)]
 
 
 def _block(params: SimpleNamespace, block: list[int]) -> SimpleNamespace:
@@ -708,19 +679,6 @@ def _block(params: SimpleNamespace, block: list[int]) -> SimpleNamespace:
     a column and are faster, else (K, 1, 1) columns, which broadcast against
     K stacked lattices."""
     return _instance(params, block[0]) if len(block) == 1 else _taken(params, (block, None, None))
-
-
-def _pin_errors(model: ModelKind, pin: Optional[str], values: Optional[np.ndarray]) -> dict[int, DomainError]:
-    """Per instance whose pinned value the search cannot take, its error."""
-    if pin == "f" and not model.uses_feedback:
-        message, bad = "a pinned f applies only to feedback models", np.ones(len(values), dtype=bool)
-    elif pin == "f":
-        message, bad = "a pinned f must be finite and >= 0", ~(np.isfinite(values) & (values >= 0.0))
-    elif pin == "a":
-        message, bad = "a pinned a must be finite and > 0", ~(np.isfinite(values) & (values > 0.0))
-    else:
-        return {}
-    return {k: DomainError(message) for k in np.flatnonzero(bad).tolist()}
 
 
 def minimize_cost(
@@ -784,7 +742,9 @@ def _minimize_batch(
     (K,) column, or a float for one instance) and only the other is
     searched, which is how the claims audit asks conditional questions
     ("best depth at this feedback level"); a pinned axis is exempt from
-    boundary diagnostics. ``values`` is ignored when ``pin`` is None.
+    boundary diagnostics. ``values`` is ignored when ``pin`` is None. The
+    caller keeps pinned values in the model's domain: a pinned ``f`` finite
+    and >= 0, for a feedback model only, and a pinned ``a`` finite and > 0.
     Returns, in order, each instance's incumbent or the :class:`EconError`
     its search ends in, kept without a traceback; incumbents match their
     own K=1 calls bit for bit.
@@ -807,17 +767,12 @@ def _minimize_batch(
     rows = 4 if model.uses_feedback and pin is None else 1
     cap = max(1, _BLOCK_NODES // (rows * spec.points))
 
-    results: list = [None] * size
-    for k, error in _pin_errors(model, pin, values).items():
-        results[k] = error
-    pending = [k for k, result in enumerate(results) if result is None]
-    for start in range(0, len(pending), cap):
-        block = pending[start:start + cap]
+    results: list = []
+    for start in range(0, size, cap):
+        block = list(range(start, min(start + cap, size)))
         params = (efficiency, costs) if lone else (_block(efficiency, block), _block(costs, block))
         with np.errstate(all="ignore"):
-            solved = _search(model, *params, len(block), None if pin is None else values[block], g, spec, pin)
-        for k, result in zip(block, solved):
-            results[k] = result
+            results += _search(model, *params, len(block), None if pin is None else values[block], g, spec, pin)
     return results
 
 
@@ -872,23 +827,32 @@ def _search(
         if not last:
             windows = _shrink(windows, centers, box)
 
-    q, f_falling, a_falling = outcome
+    (q,) = outcome
     f_values = centers[:size] if f_fixed is None else f_fixed[:, 0].tolist()
     a_values = centers[rows - size:] if a_fixed is None else a_fixed[:, 0].tolist()
-    # Per instance: the Unbounded message where the cost still falls at a
-    # searched axis's upper box edge (the feedback axis's wins), and the
+    # Per instance: Unbounded where the node sits on a searched axis's upper
+    # box edge and costs less than the node one step below it on that axis
+    # (the feedback axis is tested first, so its message wins), and the
     # lower box edges the node sits on.
-    runaway: dict[int, str] = {}
     corners = [0] * size
-    for name, symbol, fixed, falling, at, axis in (
-        ("assessment", "a", a_fixed, a_falling, a_idx, a_axis),
-        ("feedback", "f", f_fixed, f_falling, f_idx, f_axis),
+    for name, symbol, fixed, at, axis, other, other_at in (
+        ("feedback", "f", f_fixed, f_idx, f_axis, a_axis, a_idx),
+        ("assessment", "a", a_fixed, a_idx, a_axis, f_axis, f_idx),
     ):
         if fixed is not None:
             continue
-        for k in falling:
-            if axis[k, -1] == spec.max:
-                runaway[k] = (
+        edge = [
+            k for k in (at == spec.points - 1).nonzero()[0].tolist()
+            if index[k] >= 0 and axis[k, -1] == spec.max
+        ]
+        if edge:
+            # One two-node lattice per edge node: the node one step below,
+            # then the node, with the other coordinate held.
+            pair, held = axis[edge, -2:], other[edge, other_at[edge]][:, None]
+            params = (efficiency, costs) if size == 1 else (_taken(efficiency, edge), _taken(costs, edge))
+            total = _evaluate(model, *params, g, *((pair, held) if symbol == "f" else (held, pair)))[1]
+            for k in np.array(edge)[total[:, -1, -1] < total[:, 0, 0]].tolist():
+                errors[k] = errors[k] or Unbounded(
                     f"cost still decreasing at the upper grid bound on the {name} axis "
                     f"({symbol} = {spec.max}); the optimum lies outside the search box"
                 )
@@ -904,8 +868,6 @@ def _search(
     for k, q_k in enumerate(q.tolist()):
         if errors[k] is not None:
             results.append(errors[k])
-        elif k in runaway:
-            results.append(Unbounded(runaway[k]))
         elif q_k == 0.0:
             results.append(NoInteriorOptimum(
                 f"the query count that reaches gain {g!r} underflows a float to 0"
@@ -936,7 +898,8 @@ def integer_refine(
     (``_Q_ROUNDING``). Candidates must reach the gain
     floor (to within a 1e-12 relative slack for float rounding); ties on cost
     go to the lexicographically smallest counts. A candidate whose gain
-    overflows a float raises :class:`NoInteriorOptimum`.
+    overflows a float raises :class:`NoInteriorOptimum`, and so does a least
+    cost that overflows one.
     """
     g = check_gain(g)
     base = getattr(solution, "strategy", solution)
@@ -976,6 +939,8 @@ def integer_refine(
         )
     feasible.sort(key=lambda row: (row[0], row[1], row[2], row[3]))
     total_cost, q, f, a, achieved = feasible[0]
+    if total_cost == math.inf:
+        raise NoInteriorOptimum(f"the cost of integer candidate (q={q}, f={f}, a={a}) overflows a float")
     return IntegerRefinement(
         strategy=Strategy(model, q=float(q), f=float(f), a=float(a)),
         achieved_gain=achieved,

@@ -168,6 +168,7 @@ def simulate(
     and cost; only the gain shock differs. Each session draws from its own
     substream spawned off ``seed``, so logs are bit-identical for identical
     arguments and session ``i`` does not change when ``n`` grows past it.
+    A session cost or gain too large for a float raises :class:`DomainError`.
     """
     if not strategy.is_integer:
         raise DomainError("simulate requires an integer strategy (whole q, f, a)")
@@ -181,19 +182,19 @@ def simulate(
 
     base_gain = gain(strategy, efficiency)
     base_cost = cost(strategy, costs)
+    if base_cost == math.inf:
+        raise DomainError(f"the session cost overflows a float at q={strategy.q}, f={strategy.f}, a={strategy.a}")
 
     logs = []
     for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
-        rng = np.random.default_rng(stream)
-        shock = rng.normal(0.0, sigma)
-        logs.append(SessionLog(
-            session_id=i,
-            model=strategy.model,
-            strategy=strategy,
-            costs=costs,
-            realized_gain=base_gain * math.exp(shock),
-            realized_cost=base_cost,
-        ))
+        shock = np.random.default_rng(stream).normal(0.0, sigma)
+        try:
+            realized_gain = base_gain * math.exp(shock)
+        except OverflowError:  # exp(shock) alone is past a float's range
+            realized_gain = math.inf
+        if realized_gain == math.inf:
+            raise DomainError(f"a session's realized gain overflows a float (sigma={sigma})")
+        logs.append(SessionLog(i, strategy.model, strategy, costs, realized_gain, base_cost))
     return logs
 
 

@@ -811,7 +811,7 @@ def _sweep_targets(point_eff: EfficiencyParams, point_costs: CostParams,
             if name == "f2_star":
                 values[name] = level
             elif name == "a2_star_partial":
-                values[name] = cf.a2_star_partial(level, point_eff, point_costs)
+                values[name] = cf._in_range(cf.a2_star_partial(level, point_eff, point_costs), name, 0.0)
             else:
                 values[name] = cf.a2_star_full(level, point_eff, point_costs).value
         else:

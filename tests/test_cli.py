@@ -654,6 +654,39 @@ def test_simulate_query_count_too_large_for_a_float_is_invalid_input(runner, par
     _assert_invalid_input(result, "q must be finite")
 
 
+# Valid parameters at the domain's edges, where a closed form's denominator
+# underflows a float to 0 or its value overflows one.
+_TINY = {"alpha": 1e-300, "beta": 1e-301, "gamma2": 0.0, "c_feedback": 1e-300}
+_HUGE_DEPTH = {"c_query": 1e300, "c_assess": 1e-300}
+
+
+@pytest.mark.parametrize("overrides,args,message", [
+    # f2_star's denominator underflows, so the partial and full routes have
+    # no optimum; the coupled route does not converge.
+    (_TINY, ["optimize", "--model", "m2"], "fixed point not reached after 1000 iterations"),
+    (_TINY, ["sweep", "--model", "m2", "--vary", "c_query", "--lo", "5", "--hi", "10", "--steps", "3"],
+     "the m2 feedback formula's denominator (alpha - gamma2) * c_feedback underflows a float to 0"),
+    (_HUGE_DEPTH, ["optimize", "--model", "m0"], "the baseline depth leaves the range of a float"),
+], ids=["optimize-underflow", "sweep-underflow", "optimize-overflow"])
+def test_closed_form_past_float_range_has_no_optimum(runner, params_file, overrides, args, message):
+    result = _run(runner, [*args, "--params", params_file(**overrides), "--gain", "100"])
+    assert result.exit_code == 3, result.output
+    assert result.output == f"Error: {message}\n"
+
+
+@pytest.mark.parametrize("overrides,args,message", [
+    ({}, ["--q", "1", "--a", "1", "--sigma", "1000", "--seed", "0", "--n", "3"],
+     "a session's realized gain overflows a float (sigma=1000.0)"),
+    ({"c_query": 1e300}, ["--q", "1000000000", "--a", "1", "--seed", "0"],
+     "the session cost overflows a float at q=1000000000.0, f=0.0, a=1.0"),
+], ids=["gain", "cost"])
+def test_simulated_session_past_float_range_is_invalid_input(runner, params_file, tmp_path, overrides, args, message):
+    logs = tmp_path / "logs.jsonl"
+    result = _run(runner, ["simulate", "--model", "m0", "--params", params_file(**overrides), *args, "--output", logs])
+    _assert_invalid_input(result, message)
+    assert not logs.exists()
+
+
 # ---------------------------------------------------------------------------
 # group-level behaviour
 

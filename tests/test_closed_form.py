@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,39 @@ def test_f2_star_coupled_large_depth_limit():
 def test_f2_star_coupled_bad_denominator():
     with pytest.raises(DomainError):
         f2_star_coupled(5.0, eff(alpha=0.3, beta=0.9), costs(c_feedback=0.0001))
+
+
+# ------------------------------------------------- past a float's range
+
+# Valid parameters whose denominator, positive for them, underflows a float
+# to 0: each formula has no interior optimum there and names it.
+_TINY = eff(1e-300, 1e-301)
+
+
+@pytest.mark.parametrize("call,denominator", [
+    (lambda: a0_star(_TINY, costs(c_assess=1e-300)), "(alpha - beta) * c_assess"),
+    (lambda: a1_star(0.0, _TINY, costs(c_assess=1e-300)), "(gamma1 * f + alpha - beta) * c_assess"),
+    (lambda: a2_star_partial(0.0, _TINY, costs(c_assess=1e-300)), "(alpha - beta) * (f + 1) * c_assess"),
+    (lambda: a2_star_full(0.0, _TINY, costs(c_assess=1e-300)), "(alpha - gamma2) * (1 + f) * c_assess"),
+    (lambda: f2_star(_TINY, costs(c_feedback=1e-300)), "(alpha - gamma2) * c_feedback"),
+], ids=["a0_star", "a1_star", "a2_star_partial", "a2_star_full", "f2_star"])
+def test_denominator_that_underflows_has_no_interior_optimum(call, denominator):
+    with pytest.raises(NoInteriorOptimum, match=re.escape(f"denominator {denominator} underflows a float to 0")):
+        call()
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: a0_star(eff(), costs(c_query=1e300, c_assess=1e-300)), "the baseline depth"),
+    # beta * c_query underflows to a depth of 0.
+    (lambda: a0_star(eff(beta=1e-300), costs(c_query=1e-300)), "the baseline depth"),
+    (lambda: f2_star(eff(gamma2=0.5), costs(c_query=1e300, c_feedback=1e-300)), "the m2 feedback level"),
+    (lambda: a2_star_full(0.0, eff(gamma2=0.5), costs(c_query=1e300, c_assess=1e-300)), "the m2 full depth"),
+    # f2_star clamps to 0, where the partial depth overflows.
+    (lambda: solve_model2_partial(eff(gamma2=0.5), costs(1e300, 1e300, 1e-300), 100.0), "the m2 partial depth"),
+], ids=["a0-overflow", "a0-underflow", "f2_star", "a2_star_full", "m2-partial"])
+def test_value_past_float_range_has_no_interior_optimum(call, name):
+    with pytest.raises(NoInteriorOptimum, match=f"^{name} leaves the range of a float$"):
+        call()
 
 
 # ------------------------------------------------------------- recover_q

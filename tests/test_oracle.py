@@ -192,6 +192,12 @@ class TestKktResidual:
         with pytest.raises(NoInteriorOptimum, match="gain gradient .* overflows a float"):
             kkt_residual(s, std_efficiency, std_costs, 1e308)
 
+    def test_overflowing_constraint_gap_has_no_interior_optimum(self, std_efficiency, std_costs):
+        # The gain, 1e180, over a floor of 1e-300 overflows a float.
+        strategy = Strategy(M0, q=1e200, f=0.0, a=1.0)
+        with pytest.raises(NoInteriorOptimum, match=r"^the KKT residuals or constraint gap at .* overflow a float$"):
+            kkt_residual(strategy, std_efficiency, std_costs, 1e-300)
+
     def test_overflowing_residual_has_no_interior_optimum(self):
         # Every gradient component is finite, but the multiplier
         # q*c_assess / (beta*gain/a) overflows, and the q residual with it.
@@ -352,16 +358,6 @@ class TestPinnedAxes:
         pinned_cost = cost(Strategy(M2, pinned.q, pinned.f, pinned.a), std_costs)
         assert pinned_cost == pytest.approx(joint.total_cost, rel=1e-4)
 
-    def test_pin_rejections(self, std_efficiency, std_costs):
-        for model, pin, value, message in (
-            (M0, "f", 1.0, "a pinned f applies only to feedback models"),
-            (M2, "f", -0.5, "a pinned f must be finite and >= 0"),
-            (M2, "a", 0.0, "a pinned a must be finite and > 0"),
-        ):
-            result = _own_call(model, std_efficiency, std_costs, 100.0, pin=pin, value=value)
-            assert isinstance(result, DomainError)
-            assert str(result) == message
-
 
 # ---------------------------------------------------------------------------
 # Integer refinement
@@ -467,6 +463,13 @@ class TestIntegerRefine:
         costs = CostParams(1.0, 1.0, 1.0)
         with pytest.raises(Infeasible, match="no integer strategy within radius"):
             integer_refine(Strategy(M0, 1.0, 0.0, 1.0), efficiency, costs, 1e308)
+
+    def test_least_cost_that_overflows_has_no_interior_optimum(self, std_efficiency, std_costs):
+        # Every candidate near q = 1e300 and a = 1e10 meets the floor, at a
+        # cost of about 1e310.
+        strategy = Strategy(M0, q=1e300, f=0.0, a=1e10)
+        with pytest.raises(NoInteriorOptimum, match=r"^the cost of integer candidate .* overflows a float$"):
+            integer_refine(strategy, std_efficiency, std_costs, gain(strategy, std_efficiency))
 
     def test_unit_radius_always_feasible_near_solutions(self, light_grid):
         # At radius 1 the candidate (ceil q_exact, ceil f, ceil a) meets the
@@ -747,8 +750,10 @@ def test_only_minimize_cost_builds_grid_meta(std_efficiency, std_costs, monkeypa
 @pytest.mark.parametrize("grid", [
     GridSpec(points=64, refinements=2), GridSpec(), GridSpec(points=4, refinements=18),
 ], ids=["audit-grid", "default-grid", "collapsing-windows"])
-@pytest.mark.parametrize("pin", [None, "f", "a"])
-@pytest.mark.parametrize("model", [M0, M1, M2])
+# m0 has no feedback axis to pin.
+@pytest.mark.parametrize("model,pin", [
+    (model, pin) for model in (M0, M1, M2) for pin in (None, "f", "a") if model.uses_feedback or pin != "f"
+])
 def test_batch_matches_single_calls_bit_for_bit(model, pin, grid, monkeypatch):
     pairs = _batch_instances()
     values = np.exp(np.random.default_rng(7).uniform(np.log(0.5), np.log(30.0), len(pairs)))
@@ -779,9 +784,7 @@ def test_batch_matches_single_calls_bit_for_bit(model, pin, grid, monkeypatch):
             else:
                 _assert_incumbent_is(result, expected)
             seen.add(type(expected))
-    if model is M0 and pin == "f":
-        assert seen == {DomainError}  # a pinned f applies only to feedback models
-    elif model is not M1 and pin is None:
+    if model is not M1 and pin is None:
         assert NoInteriorOptimum in seen
 
 
@@ -1034,22 +1037,44 @@ def test_row_floors_keep_every_incumbent_bit_for_bit(model, grid, monkeypatch):
     for size in (1, 3, 8):
         for g in (1e-300, 1e308, float(10.0 ** rng.uniform(-300.0, 300.0)), float(10.0 ** rng.uniform(0.0, 6.0))):
             jobs.append(([_wide_draw(rng, model) + (None,) for _ in range(size)], g))
+    # Cheap feedback that lifts the query exponent a little: the cost still
+    # falls at the feedback axis's upper edge in both models.
+    jobs.append(([(EfficiencyParams(0.05, 0.01, 1e-7, 0.5), CostParams(10.0, 1e-4, 1.0), None)], 10.0))
     calls = _count_rows(monkeypatch)
     rounds = _count_kept(monkeypatch)
+    edges = []
+    least_nodes = oracle._least_nodes
+
+    def counting_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, probe, last):
+        nodes = least_nodes(model, efficiency, costs, g, f_axis, a_axis, kept, probe, last)
+        if last and kept is not None:
+            # The nodes on an upper box edge: each is evaluated again with
+            # its neighbour one step below, a feedback pair as two rows and
+            # an assessment pair as one row.
+            index, f_idx, a_idx, _ = nodes
+            on_f = (index >= 0) & (f_idx == grid.points - 1) & (f_axis[:, -1] == grid.max)
+            on_a = (index >= 0) & (a_idx == grid.points - 1) & (a_axis[:, -1] == grid.max)
+            edges.append((2 * int(on_f.sum()) + int(on_a.sum()), not kept[on_f, -2].all()))
+        return nodes
+
+    monkeypatch.setattr(oracle, "_least_nodes", counting_nodes)
     pruned = [_outcomes(_batch(model, instances, g, grid)) for instances, g in jobs]
     # Each round evaluates one probe row per instance, then exactly its kept
     # rows: no padding rows. A lone round that keeps only its probe row
-    # evaluates it once. Many rounds leave rows out.
-    assert sum(rows for rows, _ in calls) == sum(len(kept) + sum(kept) - lone for kept, lone in rounds)
+    # evaluates it once. Many rounds leave rows out. The last round's edge
+    # pairs add their rows, and some feedback edge node's row below was
+    # left out of its round.
+    assert sum(rows for rows, _ in calls) == (
+        sum(len(kept) + sum(kept) - lone for kept, lone in rounds) + sum(rows for rows, _ in edges)
+    )
     assert any(lone for _, lone in rounds)
     assert sum(sum(kept) < len(kept) * grid.points for kept, _ in rounds) > len(rounds) // 5
+    assert any(left_out for _, left_out in edges)
     monkeypatch.setattr(oracle, "_PRUNE_NODES", math.inf)  # every row of every round
     full = [_outcomes(_batch(model, instances, g, grid)) for instances, g in jobs]
     assert pruned == full
     kinds = {outcome[0] if isinstance(outcome[0], str) else "incumbent" for batch in full for outcome in batch}
-    assert {"incumbent", "NoInteriorOptimum"} <= kinds
-    if model is M2:
-        assert "Unbounded" in kinds
+    assert {"incumbent", "NoInteriorOptimum", "Unbounded"} <= kinds
 
 
 @pytest.mark.parametrize("model,efficiency,costs,g,grid", [
